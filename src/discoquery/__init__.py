@@ -27,4 +27,4 @@ from .sparql import (Ask, BasicGraphPattern, EntityTerm, Select, SelectAll,
                      VarTerm, compile_discourse, compile_question,
                      emit_sparql, evaluate_bgp)
 from .errors import (BudgetExceeded, DiscoError, GrammarError, LoadError,
-                     SemiringMismatch, ShapeMismatch)
+                     SemiringMismatch, ShapeMismatch, VerbOverflow)

@@ -1,6 +1,7 @@
 """Command-line front door: ask, rank, resolve, emit-sparql, similarity.
 
-Exit codes: 0 success, 2 usage/parse/vocabulary error, 3 budget error.
+Exit codes: 0 success, 2 usage/parse/vocabulary/overflow error, 3 budget
+error.
 All output is deterministic: LF endings, floats at 6 significant digits
 (full precision under --json).
 """

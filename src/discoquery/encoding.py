@@ -11,11 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, LoadError
+from .errors import BudgetExceeded, LoadError, VerbOverflow
 from .kb import KnowledgeGraph, Vocabulary
-from .matrix import (DEFAULT_BUDGET, Matrix, compose, one_hot_effect,
-                     one_hot_state, transpose, scalar_value)
+from .matrix import (DEFAULT_BUDGET, Matrix, check_budget, compose,
+                     one_hot_effect, one_hot_state, transpose, scalar_value)
 from .semiring import NONNEG_REAL, Semiring
+
+# Scalars a gathered operand of the dense verb build may hold beyond n^2.
+_GATHER = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +43,6 @@ class EncodingMatrix:
 class VerbMatrix:
     """Map |R| -> n (x) n; column v sums the encoded subject/object pairs of v."""
     matrix: Matrix
-    built_from: str = "encoding + knowledge graph"
 
     @property
     def n(self) -> int:
@@ -105,16 +107,52 @@ def identity_encoding(vocab: Vocabulary,
 
 
 def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
-    """Accumulate outer products per triple; never contracts the dense KG effect."""
+    """Verb matrix: column v is the sum over v's triples of E|s> (x) E|o>.
+
+    The kernel follows from the encoding; neither contracts the dense KG
+    effect.
+
+    - Selection encoding (every entity column has at most one nonzero, as
+      for ``identity_encoding``): triple t adds w(s) * w(o) to the single
+      cell (r(s), r(o)), where r(e) is the nonzero row of column e and w(e)
+      its weight.  One ``add.at`` scatter over all triples, O(T), adding in
+      triple order.
+    - Any other encoding: V_v = E[:, S_v] . E[:, O_v]^T by
+      ``Semiring.matmul``, O(n^2 T) semiring flops in all, with the
+      triples of v taken in blocks so that a gathered operand holds at most
+      max(n^2, _GATHER) scalars.
+
+    Raises VerbOverflow, naming the relation, if a real entry overflows.
+    """
     sr = enc.semiring
     n = enc.n
-    nr = enc.vocab.n_relations
-    if n * n * max(nr, 1) > DEFAULT_BUDGET:
-        raise BudgetExceeded(n * n * max(nr, 1), DEFAULT_BUDGET)
+    vocab = enc.vocab
+    nr = vocab.n_relations
+    check_budget(n * n * max(nr, 1))
+    e = enc.matrix.entries
     ent = np.zeros((n * n, nr), dtype=sr.dtype)
-    for t in kg.triples:
-        outer = sr.mul(enc.column(t.s)[:, None], enc.column(t.o)[None, :])
-        ent[:, t.v] = sr.add(ent[:, t.v], outer.reshape(-1))
+    with np.errstate(over="ignore"):
+        if (np.count_nonzero(e, axis=0) <= 1).all():
+            rows = e.argmax(axis=0)
+            weight = e[rows, np.arange(e.shape[1])]
+            s, v, o = np.array([(t.s, t.v, t.o) for t in kg.triples],
+                               dtype=np.intp).reshape(-1, 3).T
+            sr.add.at(ent, (rows[s] * n + rows[o], v),
+                      sr.mul(weight[s], weight[o]))
+        else:
+            step = max(n, _GATHER // n)
+            for v, triples in kg.by_v.items():
+                s = np.array([t.s for t in triples], dtype=np.intp)
+                o = np.array([t.o for t in triples], dtype=np.intp)
+                col = ent[:, v].reshape(n, n)
+                for lo in range(0, len(triples), step):
+                    sl = slice(lo, lo + step)
+                    col = sr.add(col, sr.matmul(e[:, s[sl]], e[:, o[sl]].T))
+                ent[:, v] = col.reshape(-1)
+    if sr.name != "boolean":
+        finite = np.isfinite(ent).all(axis=0)
+        if not finite.all():
+            raise VerbOverflow(vocab.relations[int(np.argmin(finite))])
     return VerbMatrix(Matrix(sr, (nr,), (n, n), ent))
 
 

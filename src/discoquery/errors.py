@@ -23,6 +23,15 @@ class BudgetExceeded(DiscoError):
             f"allocation of {required} scalars exceeds budget of {budget}")
 
 
+class VerbOverflow(DiscoError):
+    """A verb matrix entry overflowed to a non-finite value."""
+
+    def __init__(self, relation: str):
+        self.relation = relation
+        super().__init__(f"verb matrix of relation {relation!r} "
+                         "overflows to a non-finite value")
+
+
 class LoadError(DiscoError):
     """A data file could not be parsed."""
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import SemiringMismatch
 
-# Chunk size (in scalars) for the broadcast fallback matmul.
-_CHUNK = 1 << 22
+# Largest temporary (in scalars) of the broadcast fallback matmul.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -48,27 +48,35 @@ class Semiring:
     def sum(self, arr: np.ndarray, axis=None) -> np.ndarray:
         return self.add.reduce(arr, axis=axis)
 
-    def prod_pair(self, x, y):
-        return self.mul(x, y)
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Semiring matrix product, deterministic for fixed inputs."""
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dims {a.shape} x {b.shape}")
         if self.name == "boolean":
-            return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+            # Exact on float BLAS: terms are 0 or 1, and a sum of
+            # nonnegative floats with a positive term never rounds to 0.
+            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
         if self.name == "nonneg-real":
             return a @ b
-        # fuzzy: no BLAS kernel, broadcast in row blocks to bound memory
+        # fuzzy: no BLAS kernel; broadcast over blocks of rows, inner
+        # dimension and columns so that no temporary exceeds _CHUNK scalars.
         m, k = a.shape
         n = b.shape[1]
-        if k == 0:
-            return np.zeros((m, n), dtype=self.dtype)
-        out = np.empty((m, n), dtype=self.dtype)
-        block = max(1, _CHUNK // max(1, k * n))
-        for i in range(0, m, block):
-            out[i:i + block] = self.add.reduce(
-                self.mul(a[i:i + block, :, None], b[None, :, :]), axis=1)
+        if m * k * n <= _CHUNK:
+            return self.add.reduce(self.mul(a[:, :, None], b[None, :, :]),
+                                   axis=1, initial=self.zero)
+        out = np.zeros((m, n), dtype=self.dtype)
+        nb = min(n, _CHUNK)
+        kb = min(k, _CHUNK // nb)
+        mb = _CHUNK // (kb * nb)
+        for j in range(0, n, nb):
+            for p in range(0, k, kb):
+                right = b[None, p:p + kb, j:j + nb]
+                for i in range(0, m, mb):
+                    blk = out[i:i + mb, j:j + nb]
+                    self.add(blk, self.add.reduce(
+                        self.mul(a[i:i + mb, p:p + kb, None], right), axis=1),
+                        out=blk)
         return out
 
     def close(self, a, b, rtol: float = 1e-9) -> bool:

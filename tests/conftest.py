@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,15 @@ DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
 
 SEMIRINGS = [BOOLEAN, NONNEG_REAL, FUZZY]
+
+
+def cli_env():
+    """Environment for a `python -m discoquery.cli` child of this tree."""
+    import discoquery
+    src = str(Path(discoquery.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture(scope="session")

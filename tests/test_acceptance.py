@@ -28,7 +28,7 @@ from discoquery.kb import KnowledgeGraph
 from discoquery.resolution import MatchingFunction
 from discoquery.semantics import EntityNP, RestrictedNP
 
-from conftest import (DATA, GOLDENS, SEMIRINGS, identity_setup,
+from conftest import (DATA, GOLDENS, SEMIRINGS, cli_env, identity_setup,
                       random_encoding, random_kg, random_matrix)
 
 
@@ -275,7 +275,7 @@ def test_criterion_8_golden_bytes():
 
     def run(argv):
         proc = subprocess.run([sys.executable, "-m", "discoquery.cli"] + argv,
-                              capture_output=True, check=True)
+                              capture_output=True, check=True, env=cli_env())
         return proc.stdout
 
     ok = True

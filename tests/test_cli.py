@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: output bytes, determinism, and exit codes."""
 import io
 import json
+import subprocess
 import sys
 
 import pytest
 
 from discoquery.cli import main
 
-from conftest import DATA, GOLDENS
+from conftest import DATA, GOLDENS, cli_env
 
 KG = str(DATA / "philosophers.kg")
 ALICE = str(DATA / "alice.kg")
@@ -184,6 +185,21 @@ def test_exit_3_on_budget(capsys, tmp_path):
     code, out, err = run(capsys, ["ask", "--kg", str(big), "e0 r e1 ."])
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_exit_2_on_verb_overflow(tmp_path):
+    kg, emb = tmp_path / "two.kg", tmp_path / "big.tsv"
+    kg.write_text("a\tr\tb\n")
+    emb.write_text("a\t1e200,0\nb\t1e200,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoquery.cli", "ask", "--kg", str(kg),
+         "--embeddings", str(emb), "a r b ."],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "'r'" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

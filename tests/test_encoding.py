@@ -7,12 +7,13 @@ import pytest
 from discoquery import (BOOLEAN, NONNEG_REAL, build_verb_matrix,
                         identity_encoding, load_embeddings, load_kg,
                         normalize_l1, similarity)
-from discoquery.errors import LoadError
+from discoquery import encoding as encoding_mod
+from discoquery.errors import LoadError, VerbOverflow
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.matrix import Matrix
 from discoquery.encoding import EncodingMatrix
 
-from conftest import DATA, random_encoding, random_kg
+from conftest import DATA, SEMIRINGS, random_encoding, random_kg
 
 
 @pytest.fixture(scope="module")
@@ -96,15 +97,57 @@ def dense_verb_oracle(enc, kg):
     return out
 
 
-@pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL], ids=lambda s: s.name)
-def test_verb_matrix_against_dense_oracle(sr):
+def per_triple_verb(enc, kg):
+    """The outer-product-per-triple sum, in triple order."""
+    sr, n = enc.semiring, enc.n
+    out = np.zeros((n * n, enc.vocab.n_relations), dtype=sr.dtype)
+    for t in kg.triples:
+        outer = sr.mul(enc.column(t.s)[:, None], enc.column(t.o)[None, :])
+        out[:, t.v] = sr.add(out[:, t.v], outer.reshape(-1))
+    return out
+
+
+def selection_encoding(vocab, sr):
+    """n=2: e0 and e2 share row 1 with weights 0.5 and 0.25, e1 is zero."""
+    ent = np.zeros((2, vocab.n_entities))
+    ent[1, 0], ent[1, 2] = 0.5, 0.25
+    ent[0, 3:] = np.linspace(1.0, 0.125, vocab.n_entities - 3)
+    return EncodingMatrix(Matrix(sr, (vocab.n_entities,), (2,), ent), vocab)
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
+def test_verb_matrix_against_dense_oracle(sr, monkeypatch):
     rng = np.random.default_rng(5)
-    for trial in range(5):
-        vocab, kg = random_kg(rng, 3, 2)
-        enc = random_encoding(vocab, 3, sr, rng)
-        verbs = build_verb_matrix(enc, kg)
-        assert sr.close(verbs.matrix.entries, dense_verb_oracle(enc, kg),
-                        rtol=1e-12)
+    # The second pass splits each relation's triples into several matmuls.
+    for gather in (encoding_mod._GATHER, 1):
+        monkeypatch.setattr(encoding_mod, "_GATHER", gather)
+        for trial in range(5):
+            vocab, kg = random_kg(rng, 5, 2, density=0.4)
+            # Exact where the arithmetic is unchanged: boolean and fuzzy
+            # everywhere, and selection encodings, which add in triple
+            # order; dense reals are reassociated.
+            for enc, exact in (
+                    (random_encoding(vocab, 3, sr, rng),
+                     sr.name != "nonneg-real"),
+                    (selection_encoding(vocab, sr), True)):
+                got = build_verb_matrix(enc, kg).matrix.entries
+                assert sr.close(got, dense_verb_oracle(enc, kg), rtol=1e-12)
+                want = per_triple_verb(enc, kg)
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert sr.close(got, want, rtol=1e-12)
+
+
+def test_verb_matrix_overflow():
+    vocab = Vocabulary.from_lists(["a", "b"], ["r", "big"])
+    kg = KnowledgeGraph([Triple(0, 0, 1), Triple(0, 1, 0), Triple(1, 1, 1)])
+    for ent in ([[1e200, 0.0], [0.0, 1e200]],
+                [[1e200, 1.0], [1.0, 1e200]]):
+        enc = EncodingMatrix(
+            Matrix(NONNEG_REAL, (2,), (2,), np.array(ent)), vocab)
+        with pytest.raises(VerbOverflow, match="'r'"):
+            build_verb_matrix(enc, kg)
 
 
 def test_verb_column_mass_counts_triples():
