@@ -26,5 +26,5 @@ from .resolution import (DrsConstraints, MatchingFunction,
 from .sparql import (Ask, BasicGraphPattern, EntityTerm, Select, SelectAll,
                      VarTerm, compile_discourse, compile_question,
                      emit_sparql, evaluate_bgp)
-from .errors import (BudgetExceeded, DiscoError, GrammarError, LoadError,
-                     SemiringMismatch, ShapeMismatch, VerbOverflow)
+from .errors import (BudgetExceeded, DiscoError, DomainError, GrammarError,
+                     LoadError, SemiringMismatch, ShapeMismatch, VerbOverflow)

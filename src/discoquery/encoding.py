@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, LoadError, VerbOverflow
+from .errors import BudgetExceeded, LoadError, VerbOverflow, utf8_text
 from .kb import KnowledgeGraph, Vocabulary
 from .matrix import (DEFAULT_BUDGET, Matrix, check_budget, compose,
                      one_hot_effect, one_hot_state, transpose, scalar_value)
@@ -58,7 +58,7 @@ def load_embeddings(path, vocab: Vocabulary,
                     semiring: Semiring = NONNEG_REAL) -> EncodingMatrix:
     rows: dict[str, np.ndarray] = {}
     n = None
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

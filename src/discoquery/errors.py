@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 file reader
+that reports a decoding error as a LoadError."""
 
 
 class DiscoError(Exception):
@@ -11,6 +12,14 @@ class ShapeMismatch(DiscoError):
 
 class SemiringMismatch(DiscoError):
     """Operands live over different semirings."""
+
+
+class DomainError(DiscoError, ValueError):
+    """An entry lies outside its semiring's carrier set.
+
+    It is not finite (an overflow), negative, or a fuzzy value above 1.
+    Also a ValueError, so callers that validate input can catch either.
+    """
 
 
 class BudgetExceeded(DiscoError):
@@ -39,6 +48,36 @@ class LoadError(DiscoError):
         self.path = path
         self.line = line
         super().__init__(f"{path}:{line}: {msg}")
+
+
+class utf8_text:
+    """``with utf8_text(path) as fh``: the file opened as UTF-8 text.
+
+    A decoding error raised in the body becomes a LoadError naming the
+    first line that is not UTF-8, found by re-reading the file as bytes on
+    that error path only.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        self.fh = open(self.path, encoding="utf-8")
+        return self.fh
+
+    def __exit__(self, exc_type, exc, tb):
+        self.fh.close()
+        if not isinstance(exc, UnicodeDecodeError):
+            return False
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+        else:
+            line = 0
+        raise LoadError(self.path, line, "not valid UTF-8") from None
 
 
 class GrammarError(DiscoError):

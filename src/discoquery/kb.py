@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LoadError, ShapeMismatch
+from .errors import LoadError, ShapeMismatch, utf8_text
 from .matrix import Matrix, check_budget, one_hot_state, tensor
 from .semiring import Semiring
 
@@ -101,7 +101,7 @@ def load_kg(path) -> tuple[Vocabulary, KnowledgeGraph]:
         return r_index[tok]
 
     triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -17,11 +17,9 @@ import numpy as np
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError
 from .kb import Vocabulary
-from .matrix import (Matrix, cap, compose, cup, identity, tensor,
-                     wire_permutation)
-from .semantics import (AtomicSentence, EntityNP, NounPhrase, _noun_array,
-                        _Parser, _sentence_array, eval_sentence,
-                        parse_sentence)
+from .matrix import Matrix, cap, compose, cup, tensor, wire_permutation
+from .semantics import (AtomicSentence, NounPhrase, _noun_array, _Parser,
+                        _sentence_array, eval_sentence, parse_sentence)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,16 @@ per-class candidate entity sets.  Constraints file format: lines
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import EncodingMatrix, VerbMatrix
-from .errors import GrammarError, LoadError
+from .errors import GrammarError, LoadError, utf8_text
 from .kb import Vocabulary
-from .matrix import (Matrix, compose, identity, one_hot_state, scalar_value,
-                     spider, tensor, tensor_all, wire_permutation)
-from .semantics import Discourse, _sentence_array, PronounNP
+from .matrix import (check_budget, compose, identity, one_hot_state, prod,
+                     scalar_value, spider, tensor_all, wire_permutation)
+from .semantics import Discourse, _noun_array, _sentence_array, PronounNP
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,17 @@ class MatchingFunction:
 
 @dataclass(frozen=True, eq=False)
 class DrsConstraints:
-    """Coreference classes (ordered by smallest slot) and candidate sets."""
+    """Coreference classes (ordered by smallest slot) and candidate sets.
+
+    ``slot_class`` maps each slot to the index of its class.
+    """
     classes: tuple[tuple[int, ...], ...]
     candidates: tuple[tuple[int, ...], ...]
+    slot_class: dict[int, int] = field(init=False, repr=False)
 
-    def class_of(self, slot: int) -> int:
-        for c, members in enumerate(self.classes):
-            if slot in members:
-                return c
-        raise GrammarError(f"slot {slot} not covered by constraints")
+    def __post_init__(self):
+        object.__setattr__(self, "slot_class", {
+            s: c for c, members in enumerate(self.classes) for s in members})
 
 
 def default_constraints(k: int, vocab: Vocabulary) -> DrsConstraints:
@@ -49,10 +51,12 @@ def default_constraints(k: int, vocab: Vocabulary) -> DrsConstraints:
                           tuple(all_entities for _ in range(k)))
 
 
-def make_constraints(k: int, vocab: Vocabulary, coref=(),
-                     candidates=None) -> DrsConstraints:
-    """Build constraints from coreference groups and per-slot candidate names."""
-    parent = list(range(k))
+def _blocks(n: int, groups) -> tuple[tuple[int, ...], ...]:
+    """Partition of range(n) joining the members of each group (union-find).
+
+    Blocks are ascending and ordered by their smallest member.
+    """
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -60,16 +64,23 @@ def make_constraints(k: int, vocab: Vocabulary, coref=(),
             x = parent[x]
         return x
 
+    for group in groups:
+        for x in group[1:]:
+            parent[find(group[0])] = find(x)
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def make_constraints(k: int, vocab: Vocabulary, coref=(),
+                     candidates=None) -> DrsConstraints:
+    """Build constraints from coreference groups and per-slot candidate names."""
     for group in coref:
         for s in group:
             if not 0 <= s < k:
                 raise GrammarError(f"coreference slot {s} out of range")
-        for s in group[1:]:
-            parent[find(group[0])] = find(s)
-    roots: dict[int, list[int]] = {}
-    for s in range(k):
-        roots.setdefault(find(s), []).append(s)
-    classes = tuple(sorted(tuple(sorted(m)) for m in roots.values()))
+    classes = _blocks(k, coref)
     all_entities = tuple(range(vocab.n_entities))
     cand_list = []
     for members in classes:
@@ -86,7 +97,7 @@ def make_constraints(k: int, vocab: Vocabulary, coref=(),
 def load_constraints(path, k: int, vocab: Vocabulary) -> DrsConstraints:
     coref = []
     candidates: dict[int, tuple[int, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -122,15 +133,19 @@ def load_constraints(path, k: int, vocab: Vocabulary) -> DrsConstraints:
     return make_constraints(k, vocab, coref, candidates)
 
 
-def enumerate_matchings(constraints: DrsConstraints, k: int,
-                        vocab: Vocabulary):
-    """All constrained matchings, lexicographic over per-class entity choices."""
-    if sorted(s for members in constraints.classes for s in members) != list(range(k)):
+def _check_constraints(constraints: DrsConstraints, k: int) -> None:
+    if sorted(s for members in constraints.classes
+              for s in members) != list(range(k)):
         raise GrammarError("constraints do not partition the slots")
     if any(not c for c in constraints.candidates):
         raise GrammarError("empty candidate set")
-    slot_class = {s: c for c, members in enumerate(constraints.classes)
-                  for s in members}
+
+
+def enumerate_matchings(constraints: DrsConstraints, k: int,
+                        vocab: Vocabulary):
+    """All constrained matchings, lexicographic over per-class entity choices."""
+    _check_constraints(constraints, k)
+    slot_class = constraints.slot_class
     for choice in itertools.product(*constraints.candidates):
         assignment = tuple(choice[slot_class[s]] for s in range(k))
         yield MatchingFunction(assignment)
@@ -170,10 +185,6 @@ def _one_hot_array(i: int, n: int, sr) -> np.ndarray:
     return out
 
 
-def _semiring_order_key(x) -> float:
-    return float(x)
-
-
 def score_all_matchings(d: Discourse, constraints: DrsConstraints,
                         enc: EncodingMatrix, verbs: VerbMatrix,
                         vocab: Vocabulary):
@@ -182,74 +193,105 @@ def score_all_matchings(d: Discourse, constraints: DrsConstraints,
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 
 
+def _open_factor(s, constraints: DrsConstraints, enc: EncodingMatrix,
+                 verbs: VerbMatrix) -> np.ndarray:
+    """Effect of a sentence with pronouns on its classes' candidate columns.
+
+    A pronoun wire ranges over E[:, C] for its class's candidates C, a
+    closed noun phrase is one column.  The result has one axis per distinct
+    class of the sentence, in sentence order: E[:, C]^T t for one pronoun,
+    E[:, C_s]^T V E[:, C_o] for two of different classes, and the diagonal
+    of that matrix, computed directly, for two of one class.
+    """
+    sr = enc.semiring
+    square = verbs.square(s.verb)
+
+    def side(np_):
+        if isinstance(np_, PronounNP):
+            cols = constraints.candidates[constraints.slot_class[np_.slot]]
+            return enc.matrix.entries[:, cols]
+        return _noun_array(np_, enc, verbs)[:, None]
+
+    left, right = side(s.subject), side(s.object)
+    slots = s.slots()
+    if len(slots) == 2 and (constraints.slot_class[slots[0]]
+                            == constraints.slot_class[slots[1]]):
+        return sr.sum(sr.mul(left, sr.matmul(square, right)), axis=0)
+    if left.shape[1] < right.shape[1]:
+        out = sr.matmul(sr.matmul(left.T, square), right)
+    else:
+        out = sr.matmul(left.T, sr.matmul(square, right))
+    return out.reshape(-1) if len(slots) == 1 else out
+
+
 def resolve_argmax(d: Discourse, constraints: DrsConstraints,
                    enc: EncodingMatrix, verbs: VerbMatrix,
                    vocab: Vocabulary) -> tuple[MatchingFunction, object]:
-    """Best matching under the semiring order, ties broken by enumeration order.
+    """Best matching under the semiring order and its score.
 
-    Classes not sharing any sentence factorize: each connected component of
-    the class/sentence sharing graph is searched independently and the
-    componentwise maxima multiply, so c independent classes cost
-    O(c * |candidates| * l * n^2) rather than |candidates|^c.
+    Ties go to the first best matching in ``enumerate_matchings`` order.
+
+    Classes are joined into components by the sentences they share.  Each
+    component becomes one table over its classes' candidates, axes in
+    class order: the semiring product of its sentences' open effects
+    (``_open_factor``), of size prod |C_c| under the scalar budget.  The
+    score is closed (x) M_1 (x) ... (x) M_m, with closed the product of the
+    pronoun-free sentences and M_c the largest entry of table c.  Component
+    c takes the first entry (in C order, which is enumeration order) with
+    table (x) rest_c == M_c (x) rest_c, where rest_c is closed times the
+    other components' maxima.  That is the entries equal to M_c for boolean
+    and reals, the entries at least the score for fuzzy min, and every
+    entry, hence each class's first candidate, when the score is zero:
+    exactly the enumeration-order tie-break of the whole search.
+
+    Raises BudgetExceeded if a component table exceeds the budget, and
+    DomainError if the score overflows.
     """
     sr = enc.semiring
-    k = d.k
-    if any(not c for c in constraints.candidates):
-        raise GrammarError("empty candidate set")
-    if k == 0:
-        mu = MatchingFunction(())
-        return mu, resolution_scalar(d, mu, enc, verbs)
-
-    slot_class = {s: c for c, members in enumerate(constraints.classes)
-                  for s in members}
+    _check_constraints(constraints, d.k)
     n_classes = len(constraints.classes)
+    sentence_classes = [
+        tuple(dict.fromkeys(constraints.slot_class[x] for x in s.slots()))
+        for s in d.sentences]
 
-    # union classes sharing a sentence
-    parent = list(range(n_classes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    sentence_classes = []
-    for s in d.sentences:
-        cls = sorted({slot_class[slot] for slot in s.slots()})
-        sentence_classes.append(cls)
-        for c in cls[1:]:
-            parent[find(cls[0])] = find(c)
-
-    components: dict[int, list[int]] = {}
-    for c in range(n_classes):
-        components.setdefault(find(c), []).append(c)
-    comp_list = sorted(components.values())
-
-    total = sr.one
+    closed = sr.one
     for s, cls in zip(d.sentences, sentence_classes):
         if not cls:
-            total = sr.mul(total, _bound_scalar((s,), {}, enc, verbs))
+            closed = sr.mul(closed, _sentence_array(s, enc, verbs))
 
+    tables = []
+    for comp in _blocks(n_classes, sentence_classes):
+        check_budget(prod(len(constraints.candidates[c]) for c in comp))
+        table = sr.one
+        for s, cls in zip(d.sentences, sentence_classes):
+            if not cls or cls[0] not in comp:
+                continue
+            factor = _open_factor(s, constraints, enc, verbs)
+            if len(cls) == 2 and cls[0] > cls[1]:
+                factor = factor.T
+            shape = [len(constraints.candidates[c]) if c in cls else 1
+                     for c in comp]
+            table = sr.mul(table, factor.reshape(shape))
+        tables.append((comp, table))
+
+    maxima = [table.max() for _, table in tables]
     best = [0] * n_classes
-    for comp in comp_list:
-        comp_sentences = [s for s, cls in zip(d.sentences, sentence_classes)
-                          if cls and all(c in comp for c in cls)]
-        best_choice, best_score = None, None
-        for choice in itertools.product(
-                *(constraints.candidates[c] for c in comp)):
-            by_class = dict(zip(comp, choice))
-            binding = {slot: by_class[slot_class[slot]]
-                       for s in comp_sentences for slot in s.slots()}
-            score = _bound_scalar(comp_sentences, binding, enc, verbs)
-            if best_score is None or (_semiring_order_key(score)
-                                      > _semiring_order_key(best_score)):
-                best_choice, best_score = choice, score
-        for c, e in zip(comp, best_choice):
-            best[c] = e
-        total = sr.mul(total, best_score)
+    for i, (comp, table) in enumerate(tables):
+        rest = closed
+        for j, m in enumerate(maxima):
+            if j != i:
+                rest = sr.mul(rest, m)
+        hit = sr.mul(table, rest) == sr.mul(maxima[i], rest)
+        pos = np.unravel_index(int(np.argmax(hit)), table.shape)
+        for c, p in zip(comp, pos):
+            best[c] = constraints.candidates[c][p]
 
-    assignment = tuple(best[slot_class[s]] for s in range(k))
-    return MatchingFunction(assignment), np.asarray(total).reshape(())[()]
+    score = closed
+    for m in maxima:
+        score = sr.mul(score, m)
+    sr.validate(np.asarray(score))
+    assignment = tuple(best[constraints.slot_class[s]] for s in range(d.k))
+    return MatchingFunction(assignment), np.asarray(score).reshape(())[()]
 
 
 # ---------------------------------------------------------------------------

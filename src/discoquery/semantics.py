@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodingMatrix, VerbMatrix
-from .errors import GrammarError
+from .errors import GrammarError, utf8_text
 from .kb import Vocabulary
-from .matrix import Matrix, check_budget, prod
-from .semiring import Semiring
+from .matrix import Matrix, check_budget
 
 PRONOUNS = frozenset({"he", "him", "she", "her", "they", "them", "it"})
 
@@ -79,7 +78,7 @@ class Discourse:
 def load_lemmas(path) -> dict[str, str]:
     """Optional surface -> relation map, tab-separated, one pair per line."""
     lemmas = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SemiringMismatch
+from .errors import DomainError, SemiringMismatch
 
 # Largest temporary (in scalars) of the broadcast fallback matmul.
 _CHUNK = 1 << 18
@@ -39,11 +39,11 @@ class Semiring:
         if self.name == "boolean":
             return
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite entry in {self.name} array")
+            raise DomainError(f"non-finite entry in {self.name} array")
         if np.any(arr < 0):
-            raise ValueError(f"negative entry in {self.name} array")
+            raise DomainError(f"negative entry in {self.name} array")
         if self.name == "fuzzy-minmax" and np.any(arr > 1):
-            raise ValueError("fuzzy entry outside [0, 1]")
+            raise DomainError("fuzzy entry outside [0, 1]")
 
     def sum(self, arr: np.ndarray, axis=None) -> np.ndarray:
         return self.add.reduce(arr, axis=axis)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from .errors import GrammarError
 from .kb import KnowledgeGraph, Vocabulary
 from .questions import ObjectWhom, Question, SubjectWho, WhoWhom
-from .resolution import DrsConstraints, default_constraints
-from .semantics import (AtomicSentence, Discourse, EntityNP, NounPhrase,
-                        PronounNP, RestrictedNP)
+from .resolution import DrsConstraints
+from .semantics import Discourse, NounPhrase, PronounNP, RestrictedNP
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,9 @@ def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None,
     if constraints is None:
         if d.k and vocab is None:
             raise GrammarError("vocabulary needed for default constraints")
-        classes = tuple((s,) for s in range(d.k))
+        slot_class = {s: s for s in range(d.k)}  # every slot its own class
     else:
-        classes = constraints.classes
-    slot_class = {s: c for c, members in enumerate(classes) for s in members}
+        slot_class = constraints.slot_class
     patterns: list[Pattern] = []
     for s in d.sentences:
         patterns.append((_np_term(s.subject, slot_class.__getitem__), s.verb,

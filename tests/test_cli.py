@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discoquery.cli import main
 
@@ -206,3 +207,73 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ask"])
     assert exc.value.code == 2
+
+
+def test_exit_2_on_query_overflow(tmp_path):
+    """Overflow in a query contraction, after a verb build that passes."""
+    kg, emb = tmp_path / "one.kg", tmp_path / "big.tsv"
+    kg.write_text("a\n")
+    emb.write_text("a\t1e200,1e200\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoquery.cli", "similarity", "--kg",
+         str(kg), "--embeddings", str(emb), "a", "a"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "non-finite" in errors[0]
+
+
+_ENTITIES = ["descartes", "spinoza", "leibniz", "newton", "calculus"]
+_VERBS = ["influenced", "discovered"]
+_PRONOUNS = ["he", "him", "she", "it", "they"]
+_JUNK = ["that", "who", "whom", "does", ".", "?", "zorro", "-", "--x"]
+_NP = st.sampled_from(_ENTITIES + _PRONOUNS) | st.builds(
+    "{} that {} {}".format, st.sampled_from(_ENTITIES),
+    st.sampled_from(_VERBS), st.sampled_from(_ENTITIES))
+_VERB = st.sampled_from(_VERBS)
+_SENTENCE = st.builds("{} {} {} .".format, _NP, _VERB, _NP)
+_TEXT = st.one_of(
+    st.lists(_SENTENCE, min_size=1, max_size=3).map(" ".join),
+    st.builds("who {} {} ?".format, _VERB, _NP),
+    st.builds("who does {} {} ?".format, _NP, _VERB),
+    st.builds("who {} whom ?".format, _VERB),
+    st.lists(st.sampled_from(_ENTITIES + _VERBS + _PRONOUNS + _JUNK),
+             max_size=12).map(" ".join))
+
+
+@pytest.fixture(scope="module")
+def huge_embeddings(tmp_path_factory):
+    """Philosophers embedded at 1e100: verb entries near 1e200 stay finite,
+    sentence contractions overflow."""
+    p = tmp_path_factory.mktemp("huge") / "huge.tsv"
+    p.write_text("".join(f"{e}\t1e100,{i}e99\n"
+                         for i, e in enumerate(_ENTITIES)))
+    return str(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["ask", "rank", "resolve", "emit-sparql",
+                                "similarity"]),
+       text=_TEXT,
+       semiring=st.sampled_from(["boolean", "real", "fuzzy", "huge"]),
+       as_json=st.booleans())
+def test_cli_fuzz_exit_codes(huge_embeddings, command, text, semiring,
+                             as_json):
+    """Any command on any text exits 0, 2 or 3 and raises nothing else;
+    argparse's usage exit counts as 2."""
+    if semiring == "huge":
+        opts = ["--semiring", "real", "--embeddings", huge_embeddings]
+    else:
+        opts = ["--semiring", semiring]
+    if as_json:
+        opts.append("--json")
+    args = (text.split() + ["x", "y"])[:2] if command == "similarity" \
+        else [text]
+    try:
+        code = main([command, "--kg", KG, *opts, *args])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)

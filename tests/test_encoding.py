@@ -59,6 +59,15 @@ def test_embedding_errors(tmp_path, catdog):
             load_embeddings(p, vocab)
 
 
+def test_embeddings_not_utf8(tmp_path, catdog):
+    vocab, _ = catdog
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(b"cat\t1,2\ndog\t1,\xff2\n")
+    with pytest.raises(LoadError, match="not valid UTF-8") as exc:
+        load_embeddings(p, vocab)
+    assert exc.value.line == 2
+
+
 def test_identity_encoding_similarity():
     vocab = Vocabulary.from_lists(["a", "b", "c"], ["r"])
     enc = identity_encoding(vocab)

@@ -55,6 +55,17 @@ def test_parse_errors(tmp_path):
         load_kg(write_kg(tmp_path, "a\t\tc\n"))
 
 
+def test_not_utf8(tmp_path):
+    """The error names the line of the first bad byte, also when it lies
+    past the first block the text reader decodes."""
+    for lineno in (2, 3000):
+        p = tmp_path / "bad.kg"
+        p.write_bytes(b"a\tr\tb\n" * (lineno - 1) + b"c\tr\t\xffd\n")
+        with pytest.raises(LoadError, match="not valid UTF-8") as exc:
+            load_kg(p)
+        assert exc.value.line == lineno
+
+
 def test_reload_is_idempotent(tmp_path, philosophers):
     vocab, kg = philosophers
     lines = [e for e in vocab.entities

@@ -9,7 +9,8 @@ from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, MatchingFunction,
                         matching_process_eval, parse_discourse,
                         resolution_scalar, resolve_argmax,
                         score_all_matchings)
-from discoquery.errors import GrammarError, LoadError
+from discoquery.errors import BudgetExceeded, GrammarError, LoadError
+from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.resolution import DrsConstraints
 
 from conftest import DATA, identity_setup, random_encoding, random_kg
@@ -125,6 +126,15 @@ def test_load_constraints_errors(tmp_path, philosophers):
             load_constraints(p, 2, vocab)
 
 
+def test_load_constraints_not_utf8(tmp_path, philosophers):
+    vocab, _ = philosophers
+    p = tmp_path / "bad.constraints"
+    p.write_bytes(b"# slots\ncorefer: 0 1\ncandidates: 0 leibniz \xff\n")
+    with pytest.raises(LoadError, match="not valid UTF-8") as exc:
+        load_constraints(p, 2, vocab)
+    assert exc.value.line == 3
+
+
 def test_resolution_scalar_length_check(philosophers):
     vocab, kg = philosophers
     enc, verbs = identity_setup(vocab, kg, NONNEG_REAL)
@@ -143,27 +153,64 @@ def brute_force_argmax(scored):
 
 @pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY])
 def test_argmax_matches_brute_force_random(sr):
+    """Same matching and score as enumeration, ties included."""
     rng = np.random.default_rng(29)
     texts = [
         "e0 r0 him . he r1 e1 .",
         "e0 r0 him . e1 r1 him .",
         "he r0 him . e0 r1 e1 .",
         "he r0 e0 . he r1 e1 . e2 r0 him .",
+        "he r0 him . she r1 e0 . e1 r0 her .",
+        "he r0 him . him r1 she . she r0 e1 .",
     ]
-    for trial in range(4):
-        vocab, kg = random_kg(rng, 4, 2)
+    for trial in range(10):
+        vocab, kg = random_kg(rng, 4, 2, density=(0.1, 0.3)[trial % 2])
         enc = random_encoding(vocab, 3, sr, rng)
         verbs = build_verb_matrix(enc, kg)
         for text in texts:
             d = parse_discourse(text, vocab)
-            coref = [(0, 1)] if trial % 2 else []
-            cons = make_constraints(d.k, vocab, coref=coref)
+            corefs = [[], [(0, 1)]] + ([[(0, 2)], [(1, 2)]] if d.k > 2 else [])
+            coref = corefs[trial % len(corefs)]
+            candidates = {
+                s: rng.choice(4, rng.integers(1, 4), replace=False).tolist()
+                for s in range(d.k) if rng.random() < 0.4}
+            cons = make_constraints(d.k, vocab, coref=coref,
+                                    candidates=candidates)
+            if not all(cons.candidates):
+                continue
             scored = score_all_matchings(d, cons, enc, verbs, vocab)
             want_mu, want_s = brute_force_argmax(scored)
             got_mu, got_s = resolve_argmax(d, cons, enc, verbs, vocab)
+            assert got_mu == want_mu, (text, coref, candidates)
             assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
             assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
                 pytest.approx(float(want_s), rel=1e-9)
+
+
+@pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY])
+def test_argmax_zero_score_takes_first_matching(sr):
+    """A component scoring zero zeroes the total: every matching ties, so
+    the first one wins, as the first line of ``--all`` shows."""
+    vocab = Vocabulary.from_lists(["a", "b", "c"], ["r", "s"])
+    kg = KnowledgeGraph([Triple(0, 0, 1), Triple(1, 1, 2)])
+    enc, verbs = identity_setup(vocab, kg, sr)
+    d = parse_discourse("he s c . c s him .", vocab)
+    cons = default_constraints(2, vocab)
+    mu, score = resolve_argmax(d, cons, enc, verbs, vocab)
+    first_mu, first_s = score_all_matchings(d, cons, enc, verbs, vocab)[0]
+    assert mu == first_mu == MatchingFunction((0, 0))
+    assert score == first_s == sr.zero
+
+
+def test_argmax_component_over_budget():
+    """Two coupled classes over 9000 candidates each need an 81M table."""
+    rng = np.random.default_rng(41)
+    vocab = Vocabulary.from_lists([f"e{i}" for i in range(9000)], ["r0"])
+    enc = random_encoding(vocab, 2, NONNEG_REAL, rng)
+    verbs = build_verb_matrix(enc, KnowledgeGraph([Triple(0, 0, 1)]))
+    d = parse_discourse("he r0 him . e0 r0 e1 .", vocab)
+    with pytest.raises(BudgetExceeded):
+        resolve_argmax(d, default_constraints(2, vocab), enc, verbs, vocab)
 
 
 def test_argmax_factorization_independent_classes(philosophers):

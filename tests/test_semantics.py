@@ -5,7 +5,7 @@ import pytest
 from discoquery import (BOOLEAN, NONNEG_REAL, Triple, discourse_effect,
                         eval_sentence, kg_contains, load_kg, noun_vector,
                         parse_discourse, parse_sentence, sentence_effect)
-from discoquery.errors import BudgetExceeded, GrammarError
+from discoquery.errors import BudgetExceeded, GrammarError, LoadError
 from discoquery.semantics import (EntityNP, PronounNP, RestrictedNP,
                                   load_lemmas)
 
@@ -74,6 +74,14 @@ def test_lemma_map(tmp_path, alice_kg):
     lemmas = load_lemmas(tmp_path / "lemmas.tsv")
     d = parse_discourse("alice love bob .", vocab, lemmas)
     assert d.sentences[0].verb == vocab.relation_index["loves"]
+
+
+def test_lemmas_not_utf8(tmp_path):
+    p = tmp_path / "lemmas.tsv"
+    p.write_bytes(b"# lemmas\nlove\tloves\n\xfe\tloves\n")
+    with pytest.raises(LoadError, match="not valid UTF-8") as exc:
+        load_lemmas(p)
+    assert exc.value.line == 3
 
 
 def test_parse_sentence_rejects_discourse(alice_kg):
