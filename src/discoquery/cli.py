@@ -147,19 +147,21 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_emit_sparql(args) -> int:
-    ses = _Session(args)
+    # Compiling needs the vocabulary only, not the encoding or verb matrix.
+    vocab, _ = load_kg(args.kg)
+    lemmas = load_lemmas(args.lemmas) if args.lemmas else None
     text = _read_text(args)
     if text.split() and text.split()[0] == "who":
-        q = parse_question(text, ses.vocab, ses.lemmas)
+        q = parse_question(text, vocab, lemmas)
         bgp, form = compile_question(q)
     else:
-        d = parse_discourse(text, ses.vocab, ses.lemmas)
+        d = parse_discourse(text, vocab, lemmas)
         if args.constraints:
-            constraints = load_constraints(args.constraints, d.k, ses.vocab)
+            constraints = load_constraints(args.constraints, d.k, vocab)
         else:
-            constraints = default_constraints(d.k, ses.vocab)
+            constraints = default_constraints(d.k, vocab)
         bgp, form = compile_discourse(d, constraints)
-    sys.stdout.write(emit_sparql(bgp, form, ses.vocab, args.prefix))
+    sys.stdout.write(emit_sparql(bgp, form, vocab, args.prefix))
     return 0
 
 

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import BudgetExceeded, LoadError, VerbOverflow, utf8_text
+from .errors import (BudgetExceeded, DomainError, LoadError,
+                     SemiringMismatch, VerbOverflow, utf8_text)
 from .kb import KnowledgeGraph, Vocabulary
 from .matrix import (DEFAULT_BUDGET, Matrix, check_budget, compose,
                      one_hot_effect, one_hot_state, transpose, scalar_value)
@@ -54,46 +56,76 @@ class VerbMatrix:
         return self.matrix.entries[:, v].reshape(n, n)
 
 
+def _row_error(path, text: str, vocab: Vocabulary,
+               semiring: Semiring) -> LoadError:
+    """The LoadError of the first bad row of an embeddings file's text."""
+    seen: set[str] = set()
+    n = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            return LoadError(path, lineno, "expected 'entity<TAB>c1,c2,...'")
+        name, comps = parts
+        if name not in vocab.entity_index:
+            return LoadError(path, lineno, f"unknown entity {name!r}")
+        if name in seen:
+            return LoadError(path, lineno, f"duplicate entity {name!r}")
+        seen.add(name)
+        try:
+            vec = np.array([float(c) for c in comps.split(",")],
+                           dtype=np.float64)
+        except ValueError:
+            return LoadError(path, lineno, "malformed vector component")
+        if n is None:
+            n = len(vec)
+        elif len(vec) != n:
+            return LoadError(path, lineno,
+                             f"row of length {len(vec)}, expected {n}")
+        try:
+            semiring.validate(vec)
+        except DomainError as exc:
+            return LoadError(path, lineno, str(exc))
+    missing = [e for e in vocab.entities if e not in seen]
+    if missing:
+        return LoadError(path, 0, f"missing entity {missing[0]!r}")
+    return LoadError(path, 0, "no embedding rows")
+
+
 def load_embeddings(path, vocab: Vocabulary,
                     semiring: Semiring = NONNEG_REAL) -> EncodingMatrix:
-    rows: dict[str, np.ndarray] = {}
-    n = None
+    """Read one row per entity; the checks run on all rows at once, and
+    only when one fails are the rows walked one by one to name the first
+    bad row."""
     with utf8_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LoadError(path, lineno, "expected 'entity<TAB>c1,c2,...'")
-            name, comps = parts
-            if name not in vocab.entity_index:
-                raise LoadError(path, lineno, f"unknown entity {name!r}")
-            if name in rows:
-                raise LoadError(path, lineno, f"duplicate entity {name!r}")
-            try:
-                vec = np.array([float(c) for c in comps.split(",")],
-                               dtype=np.float64)
-            except ValueError:
-                raise LoadError(path, lineno, "malformed vector component") from None
-            if n is None:
-                n = len(vec)
-            elif len(vec) != n:
-                raise LoadError(path, lineno,
-                                f"row of length {len(vec)}, expected {n}")
-            try:
-                semiring.validate(vec)
-            except ValueError as exc:
-                raise LoadError(path, lineno, str(exc)) from None
-            rows[name] = vec
-    missing = [e for e in vocab.entities if e not in rows]
-    if missing:
-        raise LoadError(path, 0, f"missing entity {missing[0]!r}")
-    if n is None or n < 1:
-        raise LoadError(path, 0, "no embedding rows")
-    ent = np.stack([rows[e] for e in vocab.entities], axis=1)
-    return EncodingMatrix(
-        Matrix(semiring, (vocab.n_entities,), (n,), ent), vocab)
+        text = fh.read()
+    rows = [ln.split("\t") for ln in map(str.strip, text.split("\n"))
+            if ln and ln[0] != "#"]
+    names = [r[0] for r in rows]
+    comps = [r[-1] for r in rows]
+    lengths = set(map(str.count, comps, repeat(",")))
+    if not (rows and all(len(r) == 2 for r in rows) and len(lengths) == 1
+            and len(rows) == vocab.n_entities
+            and set(names) == vocab.entity_index.keys()):
+        raise _row_error(path, text, vocab, semiring)
+    n = lengths.pop() + 1
+    try:
+        values = np.fromiter(
+            map(float, chain.from_iterable(c.split(",") for c in comps)),
+            dtype=np.float64, count=len(rows) * n)
+    except ValueError:
+        raise _row_error(path, text, vocab, semiring) from None
+    ent = np.empty((n, vocab.n_entities), dtype=np.float64)
+    ent[:, list(map(vocab.entity_index.__getitem__, names))] = \
+        values.reshape(len(rows), n).T
+    try:
+        # Matrix validates the entries once, as one array.
+        matrix = Matrix(semiring, (vocab.n_entities,), (n,), ent)
+    except DomainError:
+        raise _row_error(path, text, vocab, semiring) from None
+    return EncodingMatrix(matrix, vocab)
 
 
 def identity_encoding(vocab: Vocabulary,
@@ -135,17 +167,17 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
         if (np.count_nonzero(e, axis=0) <= 1).all():
             rows = e.argmax(axis=0)
             weight = e[rows, np.arange(e.shape[1])]
-            s, v, o = np.array([(t.s, t.v, t.o) for t in kg.triples],
-                               dtype=np.intp).reshape(-1, 3).T
-            sr.add.at(ent, (rows[s] * n + rows[o], v),
+            s, v, o = kg.spo.T
+            sr.add.at(ent.reshape(-1), (rows[s] * n + rows[o]) * nr + v,
                       sr.mul(weight[s], weight[o]))
         else:
             step = max(n, _GATHER // n)
-            for v, triples in kg.by_v.items():
-                s = np.array([t.s for t in triples], dtype=np.intp)
-                o = np.array([t.o for t in triples], dtype=np.intp)
+            for v in range(nr):
+                s, _, o = kg.relation(v).T
+                if not len(s):
+                    continue
                 col = ent[:, v].reshape(n, n)
-                for lo in range(0, len(triples), step):
+                for lo in range(0, len(s), step):
                     sl = slice(lo, lo + step)
                     col = sr.add(col, sr.matmul(e[:, s[sl]], e[:, o[sl]].T))
                 ent[:, v] = col.reshape(-1)
@@ -168,7 +200,8 @@ def similarity(enc: EncodingMatrix, e1: int, e2: int):
 def normalize_l1(enc: EncodingMatrix) -> EncodingMatrix:
     """Divide each nonzero column by its entry sum; zero columns pass through."""
     if enc.semiring.name != "nonneg-real":
-        raise ValueError("L1 normalization requires the nonneg-real semiring")
+        raise SemiringMismatch(
+            "L1 normalization requires the nonneg-real semiring")
     ent = enc.matrix.entries.copy()
     zero_cols = []
     for e in range(ent.shape[1]):

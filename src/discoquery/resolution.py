@@ -156,12 +156,15 @@ def resolution_scalar(d: Discourse, mu: MatchingFunction, enc: EncodingMatrix,
     """Discourse scalar with each pronoun wire bound to its assigned entity.
 
     Sparse path: a per-sentence O(n^2) contraction per sentence, combined by
-    the semiring product; |E|^k is never materialized.
+    the semiring product; |E|^k is never materialized.  Raises DomainError
+    if the scalar overflows.
     """
     if len(mu) != d.k:
         raise GrammarError(f"matching of length {len(mu)} for k={d.k}")
-    return _bound_scalar(d.sentences, dict(enumerate(mu.assignment)),
-                         enc, verbs)
+    value = _bound_scalar(d.sentences, dict(enumerate(mu.assignment)),
+                          enc, verbs)
+    enc.semiring.validate(value)
+    return value[()]
 
 
 def _bound_scalar(sentences, slot_to_entity: dict[int, int],
@@ -176,7 +179,7 @@ def _bound_scalar(sentences, slot_to_entity: dict[int, int],
         if isinstance(s.object, PronounNP):
             ob = _one_hot_array(slot_to_entity[s.object.slot], ne, sr)
         total = sr.mul(total, _sentence_array(s, enc, verbs, sb, ob))
-    return np.asarray(total).reshape(())[()]
+    return np.asarray(total).reshape(())
 
 
 def _one_hot_array(i: int, n: int, sr) -> np.ndarray:
@@ -188,7 +191,10 @@ def _one_hot_array(i: int, n: int, sr) -> np.ndarray:
 def score_all_matchings(d: Discourse, constraints: DrsConstraints,
                         enc: EncodingMatrix, verbs: VerbMatrix,
                         vocab: Vocabulary):
-    """Every constrained matching with its scalar, in enumeration order."""
+    """Every constrained matching with its scalar, in enumeration order.
+
+    Raises DomainError if a scalar overflows.
+    """
     return [(mu, resolution_scalar(d, mu, enc, verbs))
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 

@@ -19,10 +19,8 @@ import numpy as np
 
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, utf8_text
-from .kb import Vocabulary
+from .kb import PRONOUNS, Vocabulary
 from .matrix import Matrix, check_budget
-
-PRONOUNS = frozenset({"he", "him", "she", "her", "they", "them", "it"})
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,12 @@ def discourse_effect(d: Discourse, enc: EncodingMatrix, verbs: VerbMatrix,
 
 
 def eval_sentence(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix):
-    """Scalar semantics of a pronoun-free sentence."""
+    """Scalar semantics of a pronoun-free sentence.
+
+    Raises DomainError if the scalar overflows.
+    """
     if s.a or s.b:
         raise GrammarError("sentence contains a pronoun")
-    return np.asarray(_sentence_array(s, enc, verbs)).reshape(())[()]
+    value = np.asarray(_sentence_array(s, enc, verbs)).reshape(())
+    enc.semiring.validate(value)
+    return value[()]

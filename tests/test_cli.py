@@ -188,6 +188,17 @@ def test_exit_3_on_budget(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_emit_sparql_needs_vocabulary_only(capsys, tmp_path):
+    """A KG too large for the identity verb matrix still compiles."""
+    big = tmp_path / "big.kg"
+    names = [f"e{i}" for i in range(8300)]
+    big.write_text("\n".join(names + [f"{names[0]}\tr\t{names[1]}"]) + "\n")
+    code, out, err = run(capsys, ["emit-sparql", "--kg", str(big),
+                                  "e0 r he ."])
+    assert code == 0, err
+    assert ":e0 :r ?v0 ." in out
+
+
 def test_exit_2_on_verb_overflow(tmp_path):
     kg, emb = tmp_path / "two.kg", tmp_path / "big.tsv"
     kg.write_text("a\tr\tb\n")
@@ -217,6 +228,25 @@ def test_exit_2_on_query_overflow(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "discoquery.cli", "similarity", "--kg",
          str(kg), "--embeddings", str(emb), "a", "a"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "non-finite" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [["ask", "a r b ."],
+                                  ["resolve", "--all", "he r b ."]])
+def test_exit_2_on_scalar_overflow(tmp_path, argv):
+    """The verb entries stay finite, the sentence scalar overflows."""
+    kg, emb = tmp_path / "two.kg", tmp_path / "big.tsv"
+    kg.write_text("a\tr\tb\n")
+    emb.write_text("a\t1e100,0\nb\t1e100,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoquery.cli", argv[0], "--kg", str(kg),
+         "--embeddings", str(emb), *argv[1:]],
         capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -259,9 +289,9 @@ def huge_embeddings(tmp_path_factory):
                                 "similarity"]),
        text=_TEXT,
        semiring=st.sampled_from(["boolean", "real", "fuzzy", "huge"]),
-       as_json=st.booleans())
+       as_json=st.booleans(), normalize=st.booleans())
 def test_cli_fuzz_exit_codes(huge_embeddings, command, text, semiring,
-                             as_json):
+                             as_json, normalize):
     """Any command on any text exits 0, 2 or 3 and raises nothing else;
     argparse's usage exit counts as 2."""
     if semiring == "huge":
@@ -270,6 +300,8 @@ def test_cli_fuzz_exit_codes(huge_embeddings, command, text, semiring,
         opts = ["--semiring", semiring]
     if as_json:
         opts.append("--json")
+    if normalize:
+        opts.append("--normalize")
     args = (text.split() + ["x", "y"])[:2] if command == "similarity" \
         else [text]
     try:

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from discoquery import (BOOLEAN, NONNEG_REAL, build_verb_matrix,
+from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, build_verb_matrix,
                         identity_encoding, load_embeddings, load_kg,
                         normalize_l1, similarity)
 from discoquery import encoding as encoding_mod
-from discoquery.errors import LoadError, VerbOverflow
+from discoquery.errors import LoadError, SemiringMismatch, VerbOverflow
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.matrix import Matrix
 from discoquery.encoding import EncodingMatrix
@@ -183,5 +183,6 @@ def test_normalize_l1():
                                   np.array([[0.5, 1.0], [0.5, 0.0]])), vocab))
     assert np.array_equal(
         again.matrix.entries, np.array([[0.5, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ValueError, match="nonneg-real"):
-        normalize_l1(identity_encoding(vocab, BOOLEAN))
+    for sr in (BOOLEAN, FUZZY):
+        with pytest.raises(SemiringMismatch, match="nonneg-real"):
+            normalize_l1(identity_encoding(vocab, sr))

@@ -1,0 +1,210 @@
+"""The bulk KG and embedding loaders against the line-by-line reference.
+
+Seeded random files mix comments, blank lines, space and CR padding,
+duplicate triples and entity declarations, and most carry one injected
+fault.  Both loaders must give the same vocabulary, triples and encoding,
+or the same LoadError line and message.
+"""
+from functools import cached_property
+
+import numpy as np
+import pytest
+
+from discoquery import (ALL_SEMIRINGS, BOOLEAN, ask, build_verb_matrix,
+                        identity_encoding, load_embeddings, load_kg)
+from discoquery.errors import LoadError
+from discoquery.kb import RESERVED, KnowledgeGraph
+
+from conftest import DATA
+from line_loaders import load_embeddings_lines, load_kg_lines
+
+ENTITIES = ["a", "b", "c", "ann lee", "é", "x1", "y"]
+RELATIONS = ["r", "s", "likes", "ρ"]
+KG_FAULTS = [None, "columns", "empty", "clash same line", "clash later line",
+             "reserved", "not utf-8"]
+EMBEDDING_FAULTS = [None, "columns", "bad float", "duplicate row",
+                    "unknown row", "missing row", "row length", "negative",
+                    "non-finite", "above one", "not utf-8"]
+
+
+def outcome(load, *args):
+    try:
+        return load(*args)
+    except LoadError as exc:
+        return exc.line, str(exc)
+
+
+def pick(rng, items):
+    return items[rng.integers(len(items))]
+
+
+def padded(rng, line):
+    return pick(rng, ["", " ", "  "]) + line + pick(rng, ["", " ", "\r", " \r"])
+
+
+def noise(rng):
+    return pick(rng, ["# comment", "#\tr\tb\tc", "", "   ", "\t", " \r"])
+
+
+def write(tmp_path, lines, fault_line=None):
+    """Write the lines as UTF-8, with a stray byte ending the fault line."""
+    data = [ln.encode() for ln in lines]
+    if fault_line is not None:
+        data[fault_line] += b"\xff"
+    p = tmp_path / "file"
+    p.write_bytes(b"".join(ln + b"\n" for ln in data))
+    return p
+
+
+def random_kg_lines(rng):
+    lines = []
+    for _ in range(rng.integers(0, 25)):
+        kind = rng.random()
+        if kind < 0.2:
+            lines.append(noise(rng))
+        elif kind < 0.35:
+            lines.append(padded(rng, pick(rng, ENTITIES)))
+        elif kind < 0.45 and any("\t" in ln for ln in lines):
+            lines.append(pick(rng, [ln for ln in lines if "\t" in ln]))
+        else:
+            lines.append(padded(rng, "\t".join(
+                (pick(rng, ENTITIES), pick(rng, RELATIONS),
+                 pick(rng, ENTITIES)))))
+    return lines
+
+
+def inject_kg_fault(rng, lines, fault):
+    """Insert the fault at a random line; return the line for a stray byte."""
+    at = int(rng.integers(len(lines) + 1))
+    e, r = pick(rng, ENTITIES), pick(rng, RELATIONS)
+    if fault == "columns":
+        lines.insert(at, pick(rng, [f"{e}\t{r}", f"{e}\t{r}\t{e}\t{e}"]))
+    elif fault == "empty":
+        lines.insert(at, f"{e}\t\t{e}")
+    elif fault == "clash same line":
+        lines.insert(at, pick(rng, [f"{e}\t{e}\tb", f"a\t{r}\t{r}"]))
+    elif fault == "clash later line":
+        lines.insert(at, pick(rng, [f"zed\t{r}\t{e}", "zed"]))
+        lines.insert(int(rng.integers(at + 1, len(lines) + 1)), f"{e}\tzed\t{e}")
+    elif fault == "reserved":
+        word = pick(rng, sorted(RESERVED))
+        lines.insert(at, pick(rng, [f"{word}\t{r}\t{e}", f"{e}\t{word}\t{e}",
+                                    word]))
+    elif fault == "not utf-8":
+        lines.insert(at, f"{e}\t{r}\t{e}")
+        return at
+    return None
+
+
+def kg_files(tmp_path):
+    """(path, fault): seeded random files, then the test data."""
+    rng = np.random.default_rng(20)
+    for trial in range(400):
+        lines = random_kg_lines(rng)
+        fault = KG_FAULTS[trial % len(KG_FAULTS)]
+        yield write(tmp_path, lines, inject_kg_fault(rng, lines, fault)), fault
+    for path in sorted(DATA.glob("*.kg")):
+        yield path, None
+
+
+def test_kg_loader_matches_reference(tmp_path):
+    for p, fault in kg_files(tmp_path):
+        want = outcome(load_kg_lines, p)
+        got = outcome(load_kg, p)
+        if fault is not None:
+            assert isinstance(want, tuple) and got == want, (fault, p)
+            continue
+        (vocab, kg), (ref_vocab, ref_triples) = got, want
+        assert vocab.entities == ref_vocab.entities
+        assert vocab.relations == ref_vocab.relations
+        assert vocab.entity_index == ref_vocab.entity_index
+        assert vocab.relation_index == ref_vocab.relation_index
+        assert kg.triples == tuple(ref_triples)
+        assert kg.spo.tolist() == [[t.s, t.v, t.o] for t in ref_triples]
+
+
+def random_embedding_lines(rng, vocab, n, fault):
+    """Rows of n components for the vocabulary's entities, shuffled, with
+    the fault; return the lines and the line for a stray byte."""
+    def row(name, width=n, bad=None):
+        comps = [pick(rng, [repr(x), f"{x:.2e}", f" {x}", "0", "1"])
+                 for x in np.round(rng.random(width), 3).tolist()]
+        if bad is not None:
+            comps[rng.integers(width)] = bad
+        return f"{name}\t" + ",".join(comps)
+
+    names = list(vocab.entities)
+    rng.shuffle(names)
+    lines = [padded(rng, row(e)) for e in names]
+    for _ in range(rng.integers(0, 4)):
+        lines.insert(int(rng.integers(len(lines) + 1)), noise(rng))
+    rows = [i for i, ln in enumerate(lines)
+            if ln.split("\t")[0].strip() in vocab.entity_index]
+    at = pick(rng, rows)
+    e = lines[at].split("\t")[0].strip()
+    if fault == "missing row":
+        del lines[at]
+    elif fault in ("duplicate row", "unknown row"):
+        lines.insert(int(rng.integers(len(lines) + 1)),
+                     row(e if fault == "duplicate row" else "nobody"))
+    elif fault is not None:
+        lines[at] = padded(rng, {
+            "columns": f"{e}\t1\t2",
+            "bad float": row(e, bad=pick(rng, ["x", "", "1..2", "0x1"])),
+            "row length": row(e, n + pick(rng, [-1, 1]) or 2),
+            "negative": row(e, bad="-0.5"),
+            "non-finite": row(e, bad=pick(rng, ["inf", "nan", "1e400"])),
+            "above one": row(e, bad="1.5"),
+            "not utf-8": row(e),
+        }[fault])
+    return lines, at if fault == "not utf-8" else None
+
+
+def test_embedding_loader_matches_reference(tmp_path):
+    rng = np.random.default_rng(21)
+    kg = tmp_path / "k.kg"
+    kg.write_text("".join(f"{e}\n" for e in ENTITIES), encoding="utf-8")
+    vocab, _ = load_kg(kg)
+    for trial in range(300):
+        fault = EMBEDDING_FAULTS[trial % len(EMBEDDING_FAULTS)]
+        lines, stray = random_embedding_lines(
+            rng, vocab, int(rng.integers(1, 5)), fault)
+        p = write(tmp_path, lines, stray)
+        for sr in ALL_SEMIRINGS:
+            want = outcome(load_embeddings_lines, p, vocab, sr)
+            got = outcome(load_embeddings, p, vocab, sr)
+            if isinstance(want, tuple):
+                assert got == want, (fault, sr.name, lines)
+            else:
+                assert not isinstance(got, tuple), (fault, sr.name, got)
+                assert got.matrix.entries.dtype == want.matrix.entries.dtype
+                assert np.array_equal(got.matrix.entries,
+                                      want.matrix.entries)
+        # The last semiring is fuzzy, where every fault is an error.
+        assert isinstance(want, tuple) == (fault is not None), (fault, lines)
+
+
+def test_setup_builds_no_view():
+    """Load, identity encoding, verb build and ask read only ``spo``."""
+    views = {name for name, attr in vars(KnowledgeGraph).items()
+             if isinstance(attr, cached_property)}
+    assert {"triples", "triple_set", "by_sv", "by_vo", "by_v"} <= views
+    vocab, kg = load_kg(DATA / "philosophers.kg")
+    enc = identity_encoding(vocab, BOOLEAN)
+    verbs = build_verb_matrix(enc, kg)
+    assert ask("spinoza influenced leibniz .", enc, verbs, vocab)
+    assert not views & kg.__dict__.keys()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a\tr\tb\nhe\tr\tb\n", 2),
+    ("a\tr\tb\n# that\n\nb\tthat\tc\n", 4),
+    ("a\tr\tb\nit\n", 2),
+    ("?\tr\tb\n", 1),
+])
+def test_reserved_token_rejected(tmp_path, text, line):
+    p = tmp_path / "k.kg"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(LoadError, match="is reserved") as exc:
+        load_kg(p)
+    assert exc.value.line == line
