@@ -7,7 +7,7 @@ blank lines allowed.  The noun-space dimension n is read from the file.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
@@ -43,17 +43,30 @@ class EncodingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class VerbMatrix:
-    """Map |R| -> n (x) n; column v sums the encoded subject/object pairs of v."""
-    matrix: Matrix
+    """Map |R| -> n (x) n, stored relation-major: ``blocks[v]`` is the n x n
+    sum over v's triples of E|s> (x) E|o>, subject wire as rows.
+
+    ``blocks`` is one read-only, C-contiguous (|R|, n, n) array, so every
+    contraction reads a contiguous operand.
+    """
+    semiring: Semiring
+    blocks: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.matrix.cod[0]
+        return self.blocks.shape[1]
 
     def square(self, v: int) -> np.ndarray:
-        """Column v reshaped n x n, subject wire as rows."""
-        n = self.n
-        return self.matrix.entries[:, v].reshape(n, n)
+        """Relation v as a contiguous n x n view, subject wire as rows."""
+        return self.blocks[v]
+
+    @property
+    def matrix(self) -> Matrix:
+        """The verbs as one Matrix |R| -> n (x) n, built on each access;
+        for the oracles and tests, not for queries."""
+        nr, n = self.blocks.shape[:2]
+        return Matrix(self.semiring, (nr,), (n, n),
+                      self.blocks.reshape(nr, n * n).T)
 
 
 def _row_error(path, text: str, vocab: Vocabulary,
@@ -139,20 +152,20 @@ def identity_encoding(vocab: Vocabulary,
 
 
 def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
-    """Verb matrix: column v is the sum over v's triples of E|s> (x) E|o>.
+    """Verb matrix: block v is the sum over v's triples of E|s> (x) E|o>.
 
     The kernel follows from the encoding; neither contracts the dense KG
     effect.
 
     - Selection encoding (every entity column has at most one nonzero, as
       for ``identity_encoding``): triple t adds w(s) * w(o) to the single
-      cell (r(s), r(o)), where r(e) is the nonzero row of column e and w(e)
-      its weight.  One ``add.at`` scatter over all triples, O(T), adding in
-      triple order.
+      cell (r(s), r(o)) of block v, where r(e) is the nonzero row of column
+      e and w(e) its weight.  One ``add.at`` scatter over all triples at
+      flat index (v n + r(s)) n + r(o), O(T), adding in triple order.
     - Any other encoding: V_v = E[:, S_v] . E[:, O_v]^T by
-      ``Semiring.matmul``, O(n^2 T) semiring flops in all, with the
-      triples of v taken in blocks so that a gathered operand holds at most
-      max(n^2, _GATHER) scalars.
+      ``Semiring.matmul``, O(n^2 T) semiring flops in all, added in place
+      into block v, with the triples of v taken in batches so that a
+      gathered operand holds at most max(n^2, _GATHER) scalars.
 
     Raises VerbOverflow, naming the relation, if a real entry overflows.
     """
@@ -162,34 +175,37 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
     nr = vocab.n_relations
     check_budget(n * n * max(nr, 1))
     e = enc.matrix.entries
-    ent = np.zeros((n * n, nr), dtype=sr.dtype)
+    blocks = np.zeros((nr, n, n), dtype=sr.dtype)
     with np.errstate(over="ignore"):
         if (np.count_nonzero(e, axis=0) <= 1).all():
             rows = e.argmax(axis=0)
             weight = e[rows, np.arange(e.shape[1])]
             s, v, o = kg.spo.T
-            sr.add.at(ent.reshape(-1), (rows[s] * n + rows[o]) * nr + v,
+            sr.add.at(blocks.reshape(-1), (v * n + rows[s]) * n + rows[o],
                       sr.mul(weight[s], weight[o]))
         else:
             step = max(n, _GATHER // n)
             for v in range(nr):
                 s, _, o = kg.relation(v).T
-                if not len(s):
-                    continue
-                col = ent[:, v].reshape(n, n)
+                block = blocks[v]
                 for lo in range(0, len(s), step):
                     sl = slice(lo, lo + step)
-                    col = sr.add(col, sr.matmul(e[:, s[sl]], e[:, o[sl]].T))
-                ent[:, v] = col.reshape(-1)
+                    sr.add(block, sr.matmul(e[:, s[sl]], e[:, o[sl]].T),
+                           out=block)
     if sr.name != "boolean":
-        finite = np.isfinite(ent).all(axis=0)
+        finite = np.isfinite(blocks).all(axis=(1, 2))
         if not finite.all():
             raise VerbOverflow(vocab.relations[int(np.argmin(finite))])
-    return VerbMatrix(Matrix(sr, (nr,), (n, n), ent))
+    blocks.flags.writeable = False
+    return VerbMatrix(sr, blocks)
 
 
+@np.errstate(over="ignore")
 def similarity(enc: EncodingMatrix, e1: int, e2: int):
-    """Inner product of the two entity columns: <e1| E^T E |e2>."""
+    """Inner product of the two entity columns: <e1| E^T E |e2>.
+
+    Raises DomainError (from ``Matrix``) if a composite overflows.
+    """
     sr = enc.semiring
     ne = enc.vocab.n_entities
     chain = compose(compose(one_hot_state(e2, ne, sr), enc.matrix),

@@ -74,6 +74,7 @@ def _open_effect(subject, verb, obj, enc, verbs, ne) -> Matrix:
     return Matrix(enc.semiring, (ne,) * k, (), np.asarray(arr).reshape(1, -1))
 
 
+@np.errstate(over="ignore")
 def question_effect(q: Question, enc: EncodingMatrix,
                     verbs: VerbMatrix) -> Matrix:
     """Effect |E| -> 1 (or |E|^2 -> 1 for the two-variable form).
@@ -81,7 +82,7 @@ def question_effect(q: Question, enc: EncodingMatrix,
     Wire order for the two-variable form is (subject, object).  The object
     question is evaluated in its snake-rewritten direct form; the explicit
     "does"-cap construction lives in :func:`object_whom_cap_form` and agrees
-    with it entrywise.
+    with it entrywise.  Raises DomainError (from ``Matrix``) on overflow.
     """
     from .semantics import PronounNP  # open wires reuse the pronoun machinery
     ne = enc.vocab.n_entities
@@ -127,11 +128,11 @@ def rank_answers(q: Question, enc: EncodingMatrix, verbs: VerbMatrix,
     if isinstance(q, WhoWhom):
         raise GrammarError(
             "two-variable question has no single ranking; compile it instead")
-    eff = question_effect(q, enc, verbs)
-    scores = eff.entries.reshape(-1)
-    order = sorted(range(vocab.n_entities),
-                   key=lambda e: (-float(scores[e]), e))
-    return [(e, scores[e]) for e in order]
+    scores = question_effect(q, enc, verbs).entries.reshape(-1)
+    # A stable sort on the negated scores keeps ties in ordinal order.
+    order = np.argsort(~scores if scores.dtype == bool else -scores,
+                       kind="stable")
+    return list(zip(order.tolist(), scores[order]))
 
 
 def ask(sentence_text: str, enc: EncodingMatrix, verbs: VerbMatrix,

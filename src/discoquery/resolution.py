@@ -8,6 +8,7 @@ per-class candidate entity sets.  Constraints file format: lines
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,12 @@ class MatchingFunction:
 class DrsConstraints:
     """Coreference classes (ordered by smallest slot) and candidate sets.
 
+    A class with no candidate restriction holds ``range(|E|)``, which
+    resolution contracts on the encoding itself, with no gather.
     ``slot_class`` maps each slot to the index of its class.
     """
     classes: tuple[tuple[int, ...], ...]
-    candidates: tuple[tuple[int, ...], ...]
+    candidates: tuple[Sequence[int], ...]
     slot_class: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -46,7 +49,7 @@ class DrsConstraints:
 
 def default_constraints(k: int, vocab: Vocabulary) -> DrsConstraints:
     """Every slot its own class, all entities candidates: D(d) = E^k."""
-    all_entities = tuple(range(vocab.n_entities))
+    all_entities = range(vocab.n_entities)
     return DrsConstraints(tuple((s,) for s in range(k)),
                           tuple(all_entities for _ in range(k)))
 
@@ -81,7 +84,7 @@ def make_constraints(k: int, vocab: Vocabulary, coref=(),
             if not 0 <= s < k:
                 raise GrammarError(f"coreference slot {s} out of range")
     classes = _blocks(k, coref)
-    all_entities = tuple(range(vocab.n_entities))
+    all_entities = range(vocab.n_entities)
     cand_list = []
     for members in classes:
         chosen = None
@@ -151,6 +154,7 @@ def enumerate_matchings(constraints: DrsConstraints, k: int,
         yield MatchingFunction(assignment)
 
 
+@np.errstate(over="ignore")
 def resolution_scalar(d: Discourse, mu: MatchingFunction, enc: EncodingMatrix,
                       verbs: VerbMatrix):
     """Discourse scalar with each pronoun wire bound to its assigned entity.
@@ -199,23 +203,23 @@ def score_all_matchings(d: Discourse, constraints: DrsConstraints,
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 
 
-def _open_factor(s, constraints: DrsConstraints, enc: EncodingMatrix,
+def _open_factor(s, constraints: DrsConstraints, columns, enc: EncodingMatrix,
                  verbs: VerbMatrix) -> np.ndarray:
     """Effect of a sentence with pronouns on its classes' candidate columns.
 
-    A pronoun wire ranges over E[:, C] for its class's candidates C, a
-    closed noun phrase is one column.  The result has one axis per distinct
-    class of the sentence, in sentence order: E[:, C]^T t for one pronoun,
-    E[:, C_s]^T V E[:, C_o] for two of different classes, and the diagonal
-    of that matrix, computed directly, for two of one class.
+    A pronoun wire ranges over ``columns[c]`` = E[:, C] for its class c's
+    candidates C, a closed noun phrase is one column.  The result has one
+    axis per distinct class of the sentence, in sentence order: E[:, C]^T t
+    for one pronoun, E[:, C_s]^T V E[:, C_o] for two of different classes,
+    and the diagonal of that matrix, computed directly, for two of one
+    class.
     """
     sr = enc.semiring
     square = verbs.square(s.verb)
 
     def side(np_):
         if isinstance(np_, PronounNP):
-            cols = constraints.candidates[constraints.slot_class[np_.slot]]
-            return enc.matrix.entries[:, cols]
+            return columns[constraints.slot_class[np_.slot]]
         return _noun_array(np_, enc, verbs)[:, None]
 
     left, right = side(s.subject), side(s.object)
@@ -230,6 +234,7 @@ def _open_factor(s, constraints: DrsConstraints, enc: EncodingMatrix,
     return out.reshape(-1) if len(slots) == 1 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resolve_argmax(d: Discourse, constraints: DrsConstraints,
                    enc: EncodingMatrix, verbs: VerbMatrix,
                    vocab: Vocabulary) -> tuple[MatchingFunction, object]:
@@ -251,10 +256,17 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     exactly the enumeration-order tie-break of the whole search.
 
     Raises BudgetExceeded if a component table exceeds the budget, and
-    DomainError if the score overflows.
+    DomainError if the score overflows (an inf entry, or the nan of inf
+    times zero, leaves the score non-finite).
     """
     sr = enc.semiring
     _check_constraints(constraints, d.k)
+    # E[:, C] per class, gathered once in C order like E itself (so BLAS
+    # sums alike); a class over every entity contracts on E, ungathered.
+    e = enc.matrix.entries
+    everyone = range(vocab.n_entities)
+    columns = [e if cands == everyone else np.take(e, cands, axis=1)
+               for cands in constraints.candidates]
     n_classes = len(constraints.classes)
     sentence_classes = [
         tuple(dict.fromkeys(constraints.slot_class[x] for x in s.slots()))
@@ -272,7 +284,7 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
         for s, cls in zip(d.sentences, sentence_classes):
             if not cls or cls[0] not in comp:
                 continue
-            factor = _open_factor(s, constraints, enc, verbs)
+            factor = _open_factor(s, constraints, columns, enc, verbs)
             if len(cls) == 2 and cls[0] > cls[1]:
                 factor = factor.T
             shape = [len(constraints.candidates[c]) if c in cls else 1

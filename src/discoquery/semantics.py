@@ -177,8 +177,8 @@ def parse_sentence(text: str, vocab: Vocabulary, lemmas=None,
 
 # ---------------------------------------------------------------------------
 # Evaluation.  Internally we contract innermost vectors first: each sentence
-# costs O(n^2) using the verb column reshaped to n x n; the dense triple
-# space |E| x |R| x |E| is never materialized.
+# costs O(n^2) on the verb's contiguous n x n block; the dense triple space
+# |E| x |R| x |E| is never materialized.
 
 def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
                 verbs: VerbMatrix) -> np.ndarray:
@@ -261,6 +261,7 @@ def discourse_effect(d: Discourse, enc: EncodingMatrix, verbs: VerbMatrix,
     return Matrix(sr, dom, (), out)
 
 
+@np.errstate(over="ignore")
 def eval_sentence(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix):
     """Scalar semantics of a pronoun-free sentence.
 

@@ -92,7 +92,7 @@ def dense_verb_oracle(enc, kg):
     vocab = enc.vocab
     ne, nr, n = vocab.n_entities, vocab.n_relations, enc.n
     keff = kg_effect(kg, vocab, sr).entries.reshape(ne, nr, ne)
-    out = np.zeros((n * n, nr), dtype=sr.dtype)
+    out = np.zeros((nr, n, n), dtype=sr.dtype)
     for v in range(nr):
         for i in range(n):
             for j in range(n):
@@ -102,17 +102,18 @@ def dense_verb_oracle(enc, kg):
                         acc = sr.add(acc, sr.mul(
                             keff[s, v, o],
                             sr.mul(enc.column(s)[i], enc.column(o)[j])))
-                out[i * n + j, v] = acc
+                out[v, i, j] = acc
     return out
 
 
 def per_triple_verb(enc, kg):
-    """The outer-product-per-triple sum, in triple order."""
+    """The outer-product-per-triple sum, in triple order, one block per
+    relation."""
     sr, n = enc.semiring, enc.n
-    out = np.zeros((n * n, enc.vocab.n_relations), dtype=sr.dtype)
+    out = np.zeros((enc.vocab.n_relations, n, n), dtype=sr.dtype)
     for t in kg.triples:
         outer = sr.mul(enc.column(t.s)[:, None], enc.column(t.o)[None, :])
-        out[:, t.v] = sr.add(out[:, t.v], outer.reshape(-1))
+        out[t.v] = sr.add(out[t.v], outer)
     return out
 
 
@@ -139,13 +140,39 @@ def test_verb_matrix_against_dense_oracle(sr, monkeypatch):
                     (random_encoding(vocab, 3, sr, rng),
                      sr.name != "nonneg-real"),
                     (selection_encoding(vocab, sr), True)):
-                got = build_verb_matrix(enc, kg).matrix.entries
+                verbs = build_verb_matrix(enc, kg)
+                got = verbs.blocks
                 assert sr.close(got, dense_verb_oracle(enc, kg), rtol=1e-12)
                 want = per_triple_verb(enc, kg)
+                assert got.dtype == want.dtype
                 if exact:
-                    assert np.array_equal(got, want)
+                    assert got.tobytes() == want.tobytes()
                 else:
                     assert sr.close(got, want, rtol=1e-12)
+                # The on-demand Matrix holds the same entries, column v
+                # being block v.
+                assert np.array_equal(verbs.matrix.entries,
+                                      got.reshape(len(got), -1).T)
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
+def test_verb_blocks_contiguous_read_only(sr):
+    """Every relation's square is a C-contiguous, read-only n x n view
+    into the one (|R|, n, n) array, on both build kernels."""
+    rng = np.random.default_rng(13)
+    vocab, kg = random_kg(rng, 6, 3)
+    for enc in (identity_encoding(vocab, sr),
+                random_encoding(vocab, 4, sr, rng)):
+        verbs = build_verb_matrix(enc, kg)
+        assert verbs.blocks.shape == (3, enc.n, enc.n)
+        for v in range(3):
+            square = verbs.square(v)
+            assert square.shape == (enc.n, enc.n)
+            assert square.flags.c_contiguous
+            assert not square.flags.writeable
+            assert np.shares_memory(square, verbs.blocks)
+        with pytest.raises(ValueError, match="read-only"):
+            verbs.blocks[0, 0, 0] = sr.one
 
 
 def test_verb_matrix_overflow():

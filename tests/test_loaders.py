@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 from discoquery import (ALL_SEMIRINGS, BOOLEAN, ask, build_verb_matrix,
-                        identity_encoding, load_embeddings, load_kg)
+                        default_constraints, identity_encoding,
+                        load_embeddings, load_kg, parse_discourse,
+                        parse_question, rank_answers, resolve_argmax)
+from discoquery.encoding import VerbMatrix
 from discoquery.errors import LoadError
 from discoquery.kb import RESERVED, KnowledgeGraph
+from discoquery.matrix import Matrix
 
 from conftest import DATA
 from line_loaders import load_embeddings_lines, load_kg_lines
@@ -194,6 +198,38 @@ def test_setup_builds_no_view():
     verbs = build_verb_matrix(enc, kg)
     assert ask("spinoza influenced leibniz .", enc, verbs, vocab)
     assert not views & kg.__dict__.keys()
+
+
+def test_queries_build_no_verb_matrix(monkeypatch):
+    """Set-up builds no Matrix beyond the encoding, and ask, rank and
+    resolve never build the Matrix view of the verbs."""
+    vocab, kg = load_kg(DATA / "philosophers.kg")
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counting(self):
+        built.append((self.dom, self.cod))
+        post_init(self)
+
+    def forbidden(self):
+        raise AssertionError("VerbMatrix.matrix built on a query path")
+
+    monkeypatch.setattr(Matrix, "__post_init__", counting)
+    monkeypatch.setattr(VerbMatrix, "matrix", property(forbidden))
+    for sr in ALL_SEMIRINGS:
+        built.clear()
+        enc = identity_encoding(vocab, sr)
+        verbs = build_verb_matrix(enc, kg)
+        assert built == [((vocab.n_entities,), (vocab.n_entities,))]
+        assert ask("spinoza influenced leibniz .", enc, verbs, vocab)
+        ranked = rank_answers(parse_question("who discovered calculus ?",
+                                             vocab), enc, verbs, vocab)
+        assert vocab.entities[ranked[0][0]] == "leibniz"
+        d = parse_discourse("spinoza influenced him . he discovered it .",
+                            vocab)
+        mu, _ = resolve_argmax(d, default_constraints(d.k, vocab), enc, verbs,
+                               vocab)
+        assert vocab.entities[mu.assignment[0]] == "leibniz"
 
 
 @pytest.mark.parametrize("text, line", [

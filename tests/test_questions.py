@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
-from discoquery import (BOOLEAN, NONNEG_REAL, Triple, ask, build_verb_matrix,
-                        kg_contains, object_whom_cap_form, parse_question,
+from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, EncodingMatrix, Matrix,
+                        Triple, ask, build_verb_matrix, kg_contains,
+                        object_whom_cap_form, parse_question,
                         question_effect, rank_answers)
 from discoquery.errors import GrammarError
+from discoquery.kb import KnowledgeGraph, Vocabulary
 from discoquery.questions import ObjectWhom, SubjectWho, WhoWhom
 from discoquery.semantics import EntityNP, RestrictedNP
 
@@ -130,6 +132,35 @@ def test_rank_answers_is_permutation():
     assert sorted(e for e, _ in ranked) == list(range(vocab.n_entities))
     scores = [float(s) for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY],
+                         ids=lambda s: s.name)
+def test_rank_answers_matches_key_sort(sr):
+    """Seeded scores with heavy ties rank as the old Python key sort did:
+    same ordinals, same numpy scalars, ties by ordinal."""
+    rng = np.random.default_rng(17)
+    vocab = Vocabulary.from_lists([f"e{i}" for i in range(300)], ["r0"])
+    # With n = 1, E[0, 0] = 1 and the one triple (e0, r0, e0), the verb is
+    # the scalar 1 and "who r0 e0 ?" scores entity e by E[0, e].
+    kg = KnowledgeGraph([Triple(0, 0, 0)])
+    q = SubjectWho(0, EntityNP(0))
+    for trial in range(20):
+        if sr.name == "boolean":
+            row = rng.random(300) < (0.05, 0.5, 0.95)[trial % 3]
+        else:
+            row = rng.choice([0.0, 0.125, 0.5, 1.0], 300,
+                             p=[0.7, 0.1, 0.1, 0.1])
+        row[0] = sr.one
+        enc = EncodingMatrix(Matrix(sr, (300,), (1,), row[None, :]), vocab)
+        verbs = build_verb_matrix(enc, kg)
+        s = question_effect(q, enc, verbs).entries.reshape(-1)
+        assert np.array_equal(s, row)
+        old = sorted(range(300), key=lambda e: (-float(s[e]), e))
+        got = rank_answers(q, enc, verbs, vocab)
+        assert [e for e, _ in got] == old
+        assert all(type(e) is int for e, _ in got)
+        assert all(type(v) is type(s[e]) and v == s[e] for e, v in got)
 
 
 def test_rank_answers_rejects_who_whom(philosophers):

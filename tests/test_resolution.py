@@ -185,6 +185,12 @@ def test_argmax_matches_brute_force_random(sr):
             assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
             assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
                 pytest.approx(float(want_s), rel=1e-9)
+            # Every candidate set spelled out as a tuple takes the gather
+            # path, with the same matching and score as range(|E|).
+            spelled = DrsConstraints(cons.classes, tuple(
+                tuple(c) for c in cons.candidates))
+            assert resolve_argmax(d, spelled, enc, verbs, vocab) == \
+                (got_mu, got_s)
 
 
 @pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY])
