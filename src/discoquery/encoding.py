@@ -15,8 +15,7 @@ import numpy as np
 from .errors import (BudgetExceeded, DomainError, LoadError,
                      SemiringMismatch, VerbOverflow, utf8_text)
 from .kb import KnowledgeGraph, Vocabulary
-from .matrix import (DEFAULT_BUDGET, Matrix, check_budget, compose,
-                     one_hot_effect, one_hot_state, transpose, scalar_value)
+from .matrix import DEFAULT_BUDGET, Matrix, check_budget
 from .semiring import NONNEG_REAL, Semiring
 
 # Scalars a gathered operand of the dense verb build may hold beyond n^2.
@@ -200,17 +199,17 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
     return VerbMatrix(sr, blocks)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def similarity(enc: EncodingMatrix, e1: int, e2: int):
-    """Inner product of the two entity columns: <e1| E^T E |e2>.
+    """Inner product of the two entity columns: <e1| E^T E |e2>, the sum
+    over rows of col(e1) (x) col(e2).
 
-    Raises DomainError (from ``Matrix``) if a composite overflows.
+    Raises DomainError if it overflows.
     """
     sr = enc.semiring
-    ne = enc.vocab.n_entities
-    chain = compose(compose(one_hot_state(e2, ne, sr), enc.matrix),
-                    transpose(enc.matrix))
-    return scalar_value(compose(chain, one_hot_effect(e1, ne, sr)))
+    value = sr.sum(sr.mul(enc.column(e1), enc.column(e2)))
+    sr.validate(value)
+    return value
 
 
 def normalize_l1(enc: EncodingMatrix) -> EncodingMatrix:

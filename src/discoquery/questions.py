@@ -18,8 +18,9 @@ from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError
 from .kb import Vocabulary
 from .matrix import Matrix, cap, compose, cup, tensor, wire_permutation
-from .semantics import (AtomicSentence, NounPhrase, _noun_array, _Parser,
-                        _sentence_array, eval_sentence, parse_sentence)
+from .semantics import (AtomicSentence, NounPhrase, PronounNP, _noun_array,
+                        _Parser, eval_sentence, parse_sentence,
+                        sentence_effect)
 
 
 @dataclass(frozen=True)
@@ -68,34 +69,26 @@ def parse_question(text: str, vocab: Vocabulary, lemmas=None,
     return q
 
 
-def _open_effect(subject, verb, obj, enc, verbs, ne) -> Matrix:
-    arr = _sentence_array(AtomicSentence(subject, verb, obj), enc, verbs)
-    k = (arr.ndim if isinstance(arr, np.ndarray) else 0)
-    return Matrix(enc.semiring, (ne,) * k, (), np.asarray(arr).reshape(1, -1))
-
-
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def question_effect(q: Question, enc: EncodingMatrix,
                     verbs: VerbMatrix) -> Matrix:
     """Effect |E| -> 1 (or |E|^2 -> 1 for the two-variable form).
 
-    Wire order for the two-variable form is (subject, object).  The object
-    question is evaluated in its snake-rewritten direct form; the explicit
-    "does"-cap construction lives in :func:`object_whom_cap_form` and agrees
-    with it entrywise.  Raises DomainError (from ``Matrix``) on overflow.
+    A question is a sentence whose holes are open pronoun wires.  Wire order
+    for the two-variable form is (subject, object).  The object question is
+    evaluated in its snake-rewritten direct form; the explicit "does"-cap
+    construction lives in :func:`object_whom_cap_form` and agrees with it
+    entrywise.  Raises DomainError (from ``Matrix``) on overflow.
     """
-    from .semantics import PronounNP  # open wires reuse the pronoun machinery
-    ne = enc.vocab.n_entities
-    hole_s = PronounNP(0, "who")
     if isinstance(q, SubjectWho):
-        return _open_effect(hole_s, q.verb, q.object, enc, verbs, ne)
-    if isinstance(q, ObjectWhom):
-        return _open_effect(q.subject, q.verb, PronounNP(0, "whom"),
-                            enc, verbs, ne)
-    if isinstance(q, WhoWhom):
-        return _open_effect(hole_s, q.verb, PronounNP(1, "whom"),
-                            enc, verbs, ne)
-    raise TypeError(f"not a question: {q!r}")
+        s = AtomicSentence(PronounNP(0, "who"), q.verb, q.object)
+    elif isinstance(q, ObjectWhom):
+        s = AtomicSentence(q.subject, q.verb, PronounNP(0, "whom"))
+    elif isinstance(q, WhoWhom):
+        s = AtomicSentence(PronounNP(0, "who"), q.verb, PronounNP(1, "whom"))
+    else:
+        raise TypeError(f"not a question: {q!r}")
+    return sentence_effect(s, enc, verbs)
 
 
 def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,

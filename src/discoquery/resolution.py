@@ -18,7 +18,7 @@ from .errors import GrammarError, LoadError, utf8_text
 from .kb import Vocabulary
 from .matrix import (check_budget, compose, identity, one_hot_state, prod,
                      scalar_value, spider, tensor_all, wire_permutation)
-from .semantics import Discourse, _noun_array, _sentence_array, PronounNP
+from .semantics import Discourse, contract
 
 
 @dataclass(frozen=True)
@@ -154,42 +154,35 @@ def enumerate_matchings(constraints: DrsConstraints, k: int,
         yield MatchingFunction(assignment)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def resolution_scalar(d: Discourse, mu: MatchingFunction, enc: EncodingMatrix,
                       verbs: VerbMatrix):
     """Discourse scalar with each pronoun wire bound to its assigned entity.
 
-    Sparse path: a per-sentence O(n^2) contraction per sentence, combined by
-    the semiring product; |E|^k is never materialized.  Raises DomainError
-    if the scalar overflows.
+    Sparse path: each pronoun wire reads its entity's column E[:, [e]], each
+    sentence contracts in O(n^2), and the sentences combine by the semiring
+    product; |E|^k is never materialized.  Raises DomainError if the scalar
+    overflows.
     """
     if len(mu) != d.k:
         raise GrammarError(f"matching of length {len(mu)} for k={d.k}")
-    value = _bound_scalar(d.sentences, dict(enumerate(mu.assignment)),
-                          enc, verbs)
+    e = enc.matrix.entries
+
+    def bound(pronoun):
+        return e[:, mu.assignment[pronoun.slot], None]
+
+    value = _product(d.sentences, enc, verbs, bound)
     enc.semiring.validate(value)
     return value[()]
 
 
-def _bound_scalar(sentences, slot_to_entity: dict[int, int],
-                  enc: EncodingMatrix, verbs: VerbMatrix):
+def _product(sentences, enc: EncodingMatrix, verbs: VerbMatrix, wire=None):
+    """Semiring product of the sentence scalars, each wire bound by ``wire``."""
     sr = enc.semiring
-    ne = enc.vocab.n_entities
     total = sr.one
     for s in sentences:
-        sb = ob = None
-        if isinstance(s.subject, PronounNP):
-            sb = _one_hot_array(slot_to_entity[s.subject.slot], ne, sr)
-        if isinstance(s.object, PronounNP):
-            ob = _one_hot_array(slot_to_entity[s.object.slot], ne, sr)
-        total = sr.mul(total, _sentence_array(s, enc, verbs, sb, ob))
+        total = sr.mul(total, contract(s, enc, verbs, wire))
     return np.asarray(total).reshape(())
-
-
-def _one_hot_array(i: int, n: int, sr) -> np.ndarray:
-    out = np.zeros(n, dtype=sr.dtype)
-    out[i] = sr.one
-    return out
 
 
 def score_all_matchings(d: Discourse, constraints: DrsConstraints,
@@ -203,37 +196,6 @@ def score_all_matchings(d: Discourse, constraints: DrsConstraints,
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 
 
-def _open_factor(s, constraints: DrsConstraints, columns, enc: EncodingMatrix,
-                 verbs: VerbMatrix) -> np.ndarray:
-    """Effect of a sentence with pronouns on its classes' candidate columns.
-
-    A pronoun wire ranges over ``columns[c]`` = E[:, C] for its class c's
-    candidates C, a closed noun phrase is one column.  The result has one
-    axis per distinct class of the sentence, in sentence order: E[:, C]^T t
-    for one pronoun, E[:, C_s]^T V E[:, C_o] for two of different classes,
-    and the diagonal of that matrix, computed directly, for two of one
-    class.
-    """
-    sr = enc.semiring
-    square = verbs.square(s.verb)
-
-    def side(np_):
-        if isinstance(np_, PronounNP):
-            return columns[constraints.slot_class[np_.slot]]
-        return _noun_array(np_, enc, verbs)[:, None]
-
-    left, right = side(s.subject), side(s.object)
-    slots = s.slots()
-    if len(slots) == 2 and (constraints.slot_class[slots[0]]
-                            == constraints.slot_class[slots[1]]):
-        return sr.sum(sr.mul(left, sr.matmul(square, right)), axis=0)
-    if left.shape[1] < right.shape[1]:
-        out = sr.matmul(sr.matmul(left.T, square), right)
-    else:
-        out = sr.matmul(left.T, sr.matmul(square, right))
-    return out.reshape(-1) if len(slots) == 1 else out
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def resolve_argmax(d: Discourse, constraints: DrsConstraints,
                    enc: EncodingMatrix, verbs: VerbMatrix,
@@ -244,9 +206,11 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
 
     Classes are joined into components by the sentences they share.  Each
     component becomes one table over its classes' candidates, axes in
-    class order: the semiring product of its sentences' open effects
-    (``_open_factor``), of size prod |C_c| under the scalar budget.  The
-    score is closed (x) M_1 (x) ... (x) M_m, with closed the product of the
+    class order: the semiring product of its sentences' contractions with
+    each pronoun wire on its class's candidate columns E[:, C] (for two
+    pronouns of one class, the diagonal of that matrix, computed directly),
+    of size prod |C_c| under the scalar budget.  The score is
+    closed (x) M_1 (x) ... (x) M_m, with closed the product of the
     pronoun-free sentences and M_c the largest entry of table c.  Component
     c takes the first entry (in C order, which is enumeration order) with
     table (x) rest_c == M_c (x) rest_c, where rest_c is closed times the
@@ -272,10 +236,11 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
         tuple(dict.fromkeys(constraints.slot_class[x] for x in s.slots()))
         for s in d.sentences]
 
-    closed = sr.one
-    for s, cls in zip(d.sentences, sentence_classes):
-        if not cls:
-            closed = sr.mul(closed, _sentence_array(s, enc, verbs))
+    closed = _product([s for s, cls in zip(d.sentences, sentence_classes)
+                       if not cls], enc, verbs)
+
+    def candidates(pronoun):
+        return columns[constraints.slot_class[pronoun.slot]]
 
     tables = []
     for comp in _blocks(n_classes, sentence_classes):
@@ -284,9 +249,14 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
         for s, cls in zip(d.sentences, sentence_classes):
             if not cls or cls[0] not in comp:
                 continue
-            factor = _open_factor(s, constraints, columns, enc, verbs)
-            if len(cls) == 2 and cls[0] > cls[1]:
-                factor = factor.T
+            if len(cls) == 1 and len(s.slots()) == 2:
+                col = columns[cls[0]]
+                factor = sr.sum(sr.mul(col, sr.matmul(verbs.square(s.verb),
+                                                      col)), axis=0)
+            else:
+                factor = contract(s, enc, verbs, candidates)
+                if len(cls) == 2 and cls[0] > cls[1]:
+                    factor = factor.T
             shape = [len(constraints.candidates[c]) if c in cls else 1
                      for c in comp]
             table = sr.mul(table, factor.reshape(shape))
@@ -348,13 +318,12 @@ def matching_process_eval(d: Discourse, mu: MatchingFunction,
             factor = compose(copied, tensor_all(keep, sr))
             slot_states[slot] = factor.entries.reshape(-1)
 
-    for s in d.sentences:
-        sb = slot_states.get(s.subject.slot) if isinstance(
-            s.subject, PronounNP) else None
-        ob = slot_states.get(s.object.slot) if isinstance(
-            s.object, PronounNP) else None
-        total = sr.mul(total, _sentence_array(s, enc, verbs, sb, ob))
-    return np.asarray(total).reshape(())[()]
+    emat = enc.matrix.entries
+
+    def stored(pronoun):
+        return sr.matmul(emat, slot_states[pronoun.slot][:, None])
+
+    return sr.mul(total, _product(d.sentences, enc, verbs, stored))[()]
 
 
 def dense_theorem_check(d: Discourse, mu: MatchingFunction,

@@ -202,48 +202,35 @@ def noun_vector(np_: NounPhrase, enc: EncodingMatrix,
     return Matrix(enc.semiring, (), (enc.n,), vec.reshape(-1, 1))
 
 
-def _sentence_array(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
-                    subj_bound: np.ndarray | None = None,
-                    obj_bound: np.ndarray | None = None) -> np.ndarray:
-    """Sentence contraction with optional |E|-vectors bound to pronoun wires.
+def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
+             wire=None) -> np.ndarray:
+    """Sentence contraction L^T V R as an (m_L, m_R) array, subject axis first.
 
-    Returns a scalar array when no wire stays open, an (|E|,) array with one
-    open wire, or an (|E|, |E|) array (subject axis first) with both open.
+    Each side is an (n, m) block of columns.  A closed noun phrase is its
+    noun vector, one column.  A pronoun or question hole is
+    ``wire(pronoun)``: E itself by default, E[:, C] for a candidate class C,
+    E[:, [e]] for a bound entity, or E . state for an entity-store state.
+    The narrower side meets V first, the subject side on a tie.
     """
     sr = enc.semiring
+
+    def side(np_):
+        if isinstance(np_, PronounNP):
+            return enc.matrix.entries if wire is None else wire(np_)
+        return _noun_array(np_, enc, verbs)[:, None]
+
+    left, right = side(s.subject), side(s.object)
     square = verbs.square(s.verb)
-    emat = enc.matrix.entries  # (n, |E|)
-
-    if isinstance(s.subject, PronounNP):
-        subj = None if subj_bound is None else sr.matmul(
-            emat, subj_bound.reshape(-1, 1)).reshape(-1)
-    else:
-        subj = _noun_array(s.subject, enc, verbs)
-    if isinstance(s.object, PronounNP):
-        obj = None if obj_bound is None else sr.matmul(
-            emat, obj_bound.reshape(-1, 1)).reshape(-1)
-    else:
-        obj = _noun_array(s.object, enc, verbs)
-
-    if subj is not None and obj is not None:
-        return sr.sum(sr.mul(sr.mul(subj[:, None], square), obj[None, :]))
-    if subj is not None:  # object wire open
-        u = sr.sum(sr.mul(subj[:, None], square), axis=0)
-        return sr.matmul(emat.T, u.reshape(-1, 1)).reshape(-1)
-    if obj is not None:  # subject wire open
-        t = sr.sum(sr.mul(square, obj[None, :]), axis=1)
-        return sr.matmul(emat.T, t.reshape(-1, 1)).reshape(-1)
-    # both open: E^T V E, subject axis first
-    return sr.matmul(emat.T, sr.matmul(square, emat))
+    if left.shape[1] <= right.shape[1]:
+        return sr.matmul(sr.matmul(left.T, square), right)
+    return sr.matmul(left.T, sr.matmul(square, right))
 
 
 def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,
                     verbs: VerbMatrix) -> Matrix:
     """Effect |E|^(a+b) -> 1 with wire order subject then object."""
-    arr = _sentence_array(s, enc, verbs)
-    ne = enc.vocab.n_entities
-    dom = (ne,) * (s.a + s.b)
-    return Matrix(enc.semiring, dom, (), np.asarray(arr).reshape(1, -1))
+    dom = (enc.vocab.n_entities,) * (s.a + s.b)
+    return Matrix(enc.semiring, dom, (), contract(s, enc, verbs).reshape(1, -1))
 
 
 def discourse_effect(d: Discourse, enc: EncodingMatrix, verbs: VerbMatrix,
@@ -261,7 +248,7 @@ def discourse_effect(d: Discourse, enc: EncodingMatrix, verbs: VerbMatrix,
     return Matrix(sr, dom, (), out)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def eval_sentence(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix):
     """Scalar semantics of a pronoun-free sentence.
 
@@ -269,6 +256,6 @@ def eval_sentence(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix):
     """
     if s.a or s.b:
         raise GrammarError("sentence contains a pronoun")
-    value = np.asarray(_sentence_array(s, enc, verbs)).reshape(())
+    value = contract(s, enc, verbs).reshape(())
     enc.semiring.validate(value)
     return value[()]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, SemiringMismatch
 
-# Largest temporary (in scalars) of the broadcast fallback matmul.
+# Largest temporary (in scalars) of the broadcast boolean and fuzzy matmul.
 _CHUNK = 1 << 18
 
 
@@ -52,19 +52,21 @@ class Semiring:
         """Semiring matrix product, deterministic for fixed inputs."""
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dims {a.shape} x {b.shape}")
-        if self.name == "boolean":
-            # Exact on float BLAS: terms are 0 or 1, and a sum of
-            # nonnegative floats with a positive term never rounds to 0.
-            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
         if self.name == "nonneg-real":
             return a @ b
-        # fuzzy: no BLAS kernel; broadcast over blocks of rows, inner
-        # dimension and columns so that no temporary exceeds _CHUNK scalars.
+        # boolean and fuzzy: one broadcast while it fits in _CHUNK scalars,
+        # which spares the float32 copies of both operands for boolean.
         m, k = a.shape
         n = b.shape[1]
         if m * k * n <= _CHUNK:
             return self.add.reduce(self.mul(a[:, :, None], b[None, :, :]),
                                    axis=1, initial=self.zero)
+        if self.name == "boolean":
+            # Exact on float BLAS: terms are 0 or 1, and a sum of
+            # nonnegative floats with a positive term never rounds to 0.
+            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+        # fuzzy: no BLAS kernel; broadcast over blocks of rows, inner
+        # dimension and columns so that no temporary exceeds _CHUNK scalars.
         out = np.zeros((m, n), dtype=self.dtype)
         nb = min(n, _CHUNK)
         kb = min(k, _CHUNK // nb)

@@ -248,15 +248,27 @@ def test_exit_2_on_query_overflow(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["ask", "a r b ."],
-                                  ["resolve", "--all", "he r b ."],
-                                  ["rank", "who r b ?"],
-                                  ["resolve", "he r b ."]])
-def test_exit_2_on_scalar_overflow(tmp_path, argv):
+# Entries of 1e100: a contraction overflows to inf.
+_OVERFLOW = ("a\tr\tb\n", "a\t1e100,0\nb\t1e100,1\n")
+# An inf partial sum meets a zero entry: inf * 0 is nan.
+_INF_ZERO = ("a\tr\tb\nb\tr\ta\nb\tr\tc\nc\tr\tc\n",
+             "a\t1e200,1e150\nb\t0.001,0\nc\t1,0.001\n")
+
+
+@pytest.mark.parametrize("argv, data", [
+    pytest.param(["ask", "a r b ."], _OVERFLOW, id="argv0"),
+    pytest.param(["resolve", "--all", "he r b ."], _OVERFLOW, id="argv1"),
+    pytest.param(["rank", "who r b ?"], _OVERFLOW, id="argv2"),
+    pytest.param(["resolve", "he r b ."], _OVERFLOW, id="argv3"),
+    pytest.param(["ask", "a r b ."], _INF_ZERO, id="inf-zero-ask"),
+    pytest.param(["rank", "who does a r ?"], _INF_ZERO, id="inf-zero-rank"),
+    pytest.param(["resolve", "--all", "he r b ."], _INF_ZERO,
+                 id="inf-zero-resolve-all")])
+def test_exit_2_on_scalar_overflow(tmp_path, argv, data):
     """The verb entries stay finite, the query contraction overflows."""
     kg, emb = tmp_path / "two.kg", tmp_path / "big.tsv"
-    kg.write_text("a\tr\tb\n")
-    emb.write_text("a\t1e100,0\nb\t1e100,1\n")
+    kg.write_text(data[0])
+    emb.write_text(data[1])
     proc = subprocess.run(
         [sys.executable, "-m", "discoquery.cli", argv[0], "--kg", str(kg),
          "--embeddings", str(emb), *argv[1:]],

@@ -35,6 +35,14 @@ def test_similarity_hand_computed(catdog):
     assert similarity(enc, cat, cat) == pytest.approx(0.9**2 + 0.1**2 + 0.5**2)
 
 
+def test_similarity_reads_only_its_columns():
+    """An overflowing inner product of other columns does not matter."""
+    vocab = Vocabulary.from_lists(["a", "b", "c"], ["r"])
+    ent = np.array([[1e200, 1.0, 1e200], [0.0, 0.0, 1.0]])
+    enc = EncodingMatrix(Matrix(NONNEG_REAL, (3,), (2,), ent), vocab)
+    assert similarity(enc, 1, 2) == 1e200
+
+
 def test_identity_like_embeddings(tmp_path):
     (tmp_path / "e.tsv").write_text("a\t1,0\nb\t0,1\n")
     vocab = Vocabulary.from_lists(["a", "b"], ["r"])

@@ -2,14 +2,17 @@
 import numpy as np
 import pytest
 
-from discoquery import (BOOLEAN, NONNEG_REAL, Triple, discourse_effect,
-                        eval_sentence, kg_contains, load_kg, noun_vector,
-                        parse_discourse, parse_sentence, sentence_effect)
+from discoquery import (BOOLEAN, NONNEG_REAL, Triple, build_verb_matrix,
+                        discourse_effect, eval_sentence, kg_contains, load_kg,
+                        noun_vector, parse_discourse, parse_sentence,
+                        sentence_effect)
+from discoquery import semiring as semiring_mod
 from discoquery.errors import BudgetExceeded, GrammarError, LoadError
 from discoquery.semantics import (EntityNP, PronounNP, RestrictedNP,
-                                  load_lemmas)
+                                  contract, load_lemmas)
 
-from conftest import DATA, identity_setup, random_encoding, random_kg
+from conftest import (DATA, SEMIRINGS, identity_setup, random_encoding,
+                      random_entries, random_kg)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -200,6 +203,64 @@ def test_relative_clause_against_contraction_oracle(alice_kg):
                 vocab.relation_index["loves"], vocab.entity_index["boys"],
                 vocab.relation_index["tell"], vocab.entity_index["jokes"])
             assert sr.close(got, want, rtol=1e-12)
+
+
+def naive_contract(sr, left, square, right):
+    """(+)_{x,y} L[x,i] (x) V[x,y] (x) R[y,j], one scalar at a time."""
+    out = np.empty((left.shape[1], right.shape[1]), dtype=sr.dtype)
+    for i in range(left.shape[1]):
+        for j in range(right.shape[1]):
+            acc = sr.zero
+            for x in range(square.shape[0]):
+                for y in range(square.shape[1]):
+                    acc = sr.add(acc, sr.mul(sr.mul(left[x, i], square[x, y]),
+                                             right[y, j]))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
+def test_contract_against_naive_oracle(sr, monkeypatch):
+    """Every sentence shape and every kind of pronoun wire, on random
+    encodings, through both matmul kernels."""
+    rng = np.random.default_rng(17)
+    texts = ["e0 r0 e1 .", "e0 that r1 e2 r0 e1 .",
+             "he r0 e1 .", "he r0 e1 that r1 e2 .",
+             "e0 r0 him .", "e0 that r1 e2 r0 him .",
+             "he r0 him ."]
+    for chunk in (semiring_mod._CHUNK, 4):
+        monkeypatch.setattr(semiring_mod, "_CHUNK", chunk)
+        for trial in range(3):
+            # Sparse, so that boolean verb blocks do not fill up.
+            vocab, kg = random_kg(rng, 5, 2, density=0.1)
+            enc = random_encoding(vocab, 4, sr, rng)
+            verbs = build_verb_matrix(enc, kg)
+            e = enc.matrix.entries
+            state = random_entries(rng, (vocab.n_entities, 1), sr)
+            eye = np.eye(vocab.n_entities, dtype=sr.dtype)
+            # wire kind -> block of encoding columns; None is the default E
+            blocks = {None: e, "candidates": e[:, [3, 0, 4]],
+                      "bound": e[:, [2]],
+                      "store": naive_contract(sr, e.T, eye, state)}
+            for text in texts:
+                st = parse_sentence(text, vocab)
+
+                def side(np_, kind):
+                    if isinstance(np_, PronounNP):
+                        return blocks[kind]
+                    return noun_vector(np_, enc, verbs).entries
+
+                for ks in blocks if st.a else [None]:
+                    for ko in blocks if st.b else [None]:
+                        want = naive_contract(
+                            sr, side(st.subject, ks), verbs.square(st.verb),
+                            side(st.object, ko))
+                        kinds = [ks, ko] if st.a else [ko]
+                        wire = None if ks is ko is None else (
+                            lambda p: blocks[kinds[p.slot]])
+                        got = contract(st, enc, verbs, wire)
+                        assert got.shape == want.shape
+                        assert sr.close(got, want, rtol=1e-12), (text, ks, ko)
 
 
 def test_discourse_effect_spinoza(philosophers):

@@ -60,16 +60,27 @@ def naive_matmul(sr, a, b):
 @pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
 def test_matmul_against_naive_oracle(sr, monkeypatch):
     rng = np.random.default_rng(7)
+    muls = []
+
+    def spy_mul(x, y):
+        muls.append(1)
+        return sr.mul(x, y)
+
+    spied = Semiring(sr.name, sr.dtype, sr.add, spy_mul)
     # The second pass splits rows, inner dimension and columns of the
-    # fuzzy fallback.
+    # fuzzy fallback, and sends boolean products past 4 scalars to BLAS.
     for chunk in (semiring_mod._CHUNK, 4):
         monkeypatch.setattr(semiring_mod, "_CHUNK", chunk)
         for _ in range(10):
             m, k, n = rng.integers(1, 7, size=3)
             a = random_entries(rng, (m, k), sr)
             b = random_entries(rng, (k, n), sr)
-            assert sr.close(sr.matmul(a, b), naive_matmul(sr, a, b),
+            muls.clear()
+            assert sr.close(spied.matmul(a, b), naive_matmul(sr, a, b),
                             rtol=1e-12)
+            if sr is BOOLEAN:
+                # The broadcast path multiplies in numpy, BLAS does not.
+                assert bool(muls) == (m * k * n <= chunk)
         for m, k, n in [(0, 3, 2), (2, 0, 3), (2, 3, 0)]:
             out = sr.matmul(random_entries(rng, (m, k), sr),
                             random_entries(rng, (k, n), sr))
