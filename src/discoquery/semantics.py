@@ -190,8 +190,7 @@ def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
         comp = _noun_array(np_.complement, enc, verbs)
         square = verbs.square(np_.verb)
         # contract the verb's object wire with the complement, then intersect
-        y = sr.sum(sr.mul(square, comp[None, :]), axis=1)
-        return sr.mul(head, y)
+        return sr.mul(head, sr.matmul(square, comp[:, None])[:, 0])
     raise GrammarError(f"pronoun {np_.surface!r} in a closed noun phrase")
 
 

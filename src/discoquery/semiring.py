@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, SemiringMismatch
 
-# Largest temporary (in scalars) of the broadcast boolean and fuzzy matmul.
+# Largest temporary (in scalars) of the broadcast matmul.
 _CHUNK = 1 << 18
 
 
@@ -54,19 +54,25 @@ class Semiring:
             raise ValueError(f"inner dims {a.shape} x {b.shape}")
         if self.name == "nonneg-real":
             return a @ b
-        # boolean and fuzzy: one broadcast while it fits in _CHUNK scalars,
-        # which spares the float32 copies of both operands for boolean.
         m, k = a.shape
         n = b.shape[1]
+        if self.name == "boolean" and min(m, n) > 1:
+            # Exact on float BLAS: terms are 0 or 1, and a sum of
+            # nonnegative floats with a positive term never rounds to 0.
+            # BLAS beat the broadcast 4-28x on every product measured with
+            # both output sides wider than 1, and lost 1.3-13x on
+            # matrix-vector ones, where the float32 copy of the matrix costs
+            # more than the product (BENCH_contraction.json, "kernels").
+            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+        # fuzzy, and boolean matrix-vector products: one broadcast while it
+        # fits in _CHUNK scalars; past that, broadcast over blocks of rows,
+        # inner dimension and columns so that no temporary exceeds _CHUNK.
+        # A strided b, such as an entity column E[:, e], costs a cache line
+        # per read; copying it first is cheaper than the product.
+        b = np.ascontiguousarray(b)
         if m * k * n <= _CHUNK:
             return self.add.reduce(self.mul(a[:, :, None], b[None, :, :]),
                                    axis=1, initial=self.zero)
-        if self.name == "boolean":
-            # Exact on float BLAS: terms are 0 or 1, and a sum of
-            # nonnegative floats with a positive term never rounds to 0.
-            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
-        # fuzzy: no BLAS kernel; broadcast over blocks of rows, inner
-        # dimension and columns so that no temporary exceeds _CHUNK scalars.
         out = np.zeros((m, n), dtype=self.dtype)
         nb = min(n, _CHUNK)
         kb = min(k, _CHUNK // nb)

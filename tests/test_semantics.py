@@ -222,7 +222,8 @@ def naive_contract(sr, left, square, right):
 @pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
 def test_contract_against_naive_oracle(sr, monkeypatch):
     """Every sentence shape and every kind of pronoun wire, on random
-    encodings, through both matmul kernels."""
+    encodings, through the whole and the blocked broadcast (and BLAS for
+    boolean matrix products)."""
     rng = np.random.default_rng(17)
     texts = ["e0 r0 e1 .", "e0 that r1 e2 r0 e1 .",
              "he r0 e1 .", "he r0 e1 that r1 e2 .",

@@ -68,19 +68,22 @@ def test_matmul_against_naive_oracle(sr, monkeypatch):
 
     spied = Semiring(sr.name, sr.dtype, sr.add, spy_mul)
     # The second pass splits rows, inner dimension and columns of the
-    # fuzzy fallback, and sends boolean products past 4 scalars to BLAS.
+    # broadcast.
     for chunk in (semiring_mod._CHUNK, 4):
         monkeypatch.setattr(semiring_mod, "_CHUNK", chunk)
-        for _ in range(10):
-            m, k, n = rng.integers(1, 7, size=3)
+        shapes = [(1, 6, 5), (5, 6, 1), (1, 6, 1), (2, 6, 2)]
+        for m, k, n in shapes + [rng.integers(1, 7, size=3)
+                                 for _ in range(10)]:
             a = random_entries(rng, (m, k), sr)
             b = random_entries(rng, (k, n), sr)
             muls.clear()
             assert sr.close(spied.matmul(a, b), naive_matmul(sr, a, b),
                             rtol=1e-12)
             if sr is BOOLEAN:
-                # The broadcast path multiplies in numpy, BLAS does not.
-                assert bool(muls) == (m * k * n <= chunk)
+                # Matrix-vector products take the broadcast, which
+                # multiplies in numpy; matrix products take BLAS, which
+                # does not.
+                assert bool(muls) == (min(m, n) == 1)
         for m, k, n in [(0, 3, 2), (2, 0, 3), (2, 3, 0)]:
             out = sr.matmul(random_entries(rng, (m, k), sr),
                             random_entries(rng, (k, n), sr))
@@ -103,6 +106,27 @@ def test_fuzzy_matmul_temporaries_bounded(monkeypatch):
         b = random_entries(rng, (k, n), FUZZY)
         sizes.clear()
         assert np.array_equal(spied.matmul(a, b), naive_matmul(FUZZY, a, b))
+        assert sizes and max(sizes) <= 6
+
+
+def test_boolean_vector_matmul_temporaries_bounded(monkeypatch):
+    """Past _CHUNK a boolean matrix-vector product stays on the blocked
+    broadcast instead of copying its matrix to float32 for BLAS."""
+    monkeypatch.setattr(semiring_mod, "_CHUNK", 6)
+    sizes = []
+
+    def spy_and(x, y):
+        out = np.logical_and(x, y)
+        sizes.append(out.size)
+        return out
+
+    spied = Semiring(BOOLEAN.name, BOOLEAN.dtype, BOOLEAN.add, spy_and)
+    rng = np.random.default_rng(5)
+    for m, k, n in [(1, 7, 9), (9, 7, 1), (1, 20, 1)]:
+        a = random_entries(rng, (m, k), BOOLEAN)
+        b = random_entries(rng, (k, n), BOOLEAN)
+        sizes.clear()
+        assert np.array_equal(spied.matmul(a, b), naive_matmul(BOOLEAN, a, b))
         assert sizes and max(sizes) <= 6
 
 
