@@ -150,6 +150,20 @@ def identity_encoding(vocab: Vocabulary,
         Matrix(semiring, (ne,), (ne,), np.eye(ne, dtype=semiring.dtype)), vocab)
 
 
+def _ranks(e: np.ndarray):
+    """Sorted values of E (+0.0 first) and E as ranks, one column block at a
+    time; a block searches its distinct values, 2-3x faster than each entry."""
+    step = max(1, _GATHER // (4 * len(e)))  # np.unique takes ~48 B a scalar
+    cols = [slice(j, j + step) for j in range(0, e.shape[1], step)]
+    values = np.unique(np.hstack([0.0, *(np.unique(e[:, c]) for c in cols)]))
+    values[0] = 0.0  # np.unique may keep a -0.0 entry for the zero
+    ranks = np.empty(e.shape, np.uint16 if len(values) <= 65536 else np.uint32)
+    for c in cols:
+        local, inverse = np.unique(e[:, c], return_inverse=True)
+        ranks[:, c] = values.searchsorted(local)[inverse].reshape(len(e), -1)
+    return values, ranks
+
+
 def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
     """Verb matrix: block v is the sum over v's triples of E|s> (x) E|o>.
 
@@ -161,10 +175,11 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
       cell (r(s), r(o)) of block v, where r(e) is the nonzero row of column
       e and w(e) its weight.  One ``add.at`` scatter over all triples at
       flat index (v n + r(s)) n + r(o), O(T), adding in triple order.
-    - Any other encoding: V_v = E[:, S_v] . E[:, O_v]^T by
-      ``Semiring.matmul``, O(n^2 T) semiring flops in all, added in place
-      into block v, with the triples of v taken in batches so that a
-      gathered operand holds at most max(n^2, _GATHER) scalars.
+    - Any other encoding: V_v = E[:, S_v] . E[:, O_v]^T by Semiring.matmul,
+      O(n^2 T) semiring flops in all, added in place into block v, with v's
+      triples taken in batches so that a gathered operand holds at most
+      max(n^2, _GATHER) scalars.  Fuzzy runs on uint16 or uint32 ranks of
+      E's values: max and min commute with order-preserving maps, so exact.
 
     Raises VerbOverflow, naming the relation, if a real entry overflows.
     """
@@ -184,13 +199,19 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
                       sr.mul(weight[s], weight[o]))
         else:
             step = max(n, _GATHER // n)
+            if sr.name == "fuzzy-minmax":
+                values, e = _ranks(e)
+                blocks = np.zeros_like(blocks, dtype=e.dtype)
             for v in range(nr):
                 s, _, o = kg.relation(v).T
                 block = blocks[v]
                 for lo in range(0, len(s), step):
                     sl = slice(lo, lo + step)
-                    sr.add(block, sr.matmul(e[:, s[sl]], e[:, o[sl]].T),
+                    sr.add(block, sr.matmul(e.take(s[sl], axis=1),
+                                            e.take(o[sl], axis=1).T),
                            out=block)
+            if sr.name == "fuzzy-minmax":
+                blocks = values.take(blocks)
     if sr.name != "boolean":
         finite = np.isfinite(blocks).all(axis=(1, 2))
         if not finite.all():
@@ -217,15 +238,11 @@ def normalize_l1(enc: EncodingMatrix) -> EncodingMatrix:
     if enc.semiring.name != "nonneg-real":
         raise SemiringMismatch(
             "L1 normalization requires the nonneg-real semiring")
-    ent = enc.matrix.entries.copy()
-    zero_cols = []
-    for e in range(ent.shape[1]):
-        mass = ent[:, e].sum()
-        if mass == 0.0:
-            zero_cols.append(enc.vocab.entities[e])
-        else:
-            ent[:, e] = ent[:, e] / mass
+    ent = enc.matrix.entries
+    mass = np.ascontiguousarray(ent.T).sum(axis=1)  # each ent[:, e].sum()
+    zero_cols = [enc.vocab.entities[e] for e in np.flatnonzero(mass == 0.0)]
     if zero_cols:
         warnings.warn(f"zero embedding columns left unnormalized: {zero_cols}")
+    ent = ent / np.where(mass == 0.0, 1.0, mass)
     return EncodingMatrix(
         Matrix(enc.semiring, enc.matrix.dom, enc.matrix.cod, ent), enc.vocab)

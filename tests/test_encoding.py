@@ -12,6 +12,7 @@ from discoquery.errors import LoadError, SemiringMismatch, VerbOverflow
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.matrix import Matrix
 from discoquery.encoding import EncodingMatrix
+from discoquery.semiring import Semiring
 
 from conftest import DATA, SEMIRINGS, random_encoding, random_kg
 
@@ -163,6 +164,71 @@ def test_verb_matrix_against_dense_oracle(sr, monkeypatch):
                                       got.reshape(len(got), -1).T)
 
 
+def test_fuzzy_verb_build_on_ranks_exact(monkeypatch):
+    """The fuzzy build runs on integer ranks of E's values and decodes to
+    the bytes of the per-triple max-min sum, every zero as +0.0.  Cases:
+    tied values, exact 0 and 1, -0.0 entries, a relation without triples,
+    uint16 and uint32 ranks, and one batch per n triples (_GATHER = 1)."""
+    kinds = []
+
+    def spy_min(x, y):
+        kinds.append(x.dtype)
+        return np.minimum(x, y)
+
+    spied = Semiring(FUZZY.name, FUZZY.dtype, FUZZY.add, spy_min)
+    rng = np.random.default_rng(17)
+    for gather in (encoding_mod._GATHER, 1):
+        monkeypatch.setattr(encoding_mod, "_GATHER", gather)
+        # (|E|, n, levels): entries are multiples of 1 / levels, or any
+        # float for None; 25,000 x 4 floats hold past 2^16 values.
+        for ne, n, levels in [(8, 3, 2), (30, 5, 10), (25_000, 4, None)]:
+            vocab = Vocabulary.from_lists([f"e{i}" for i in range(ne)],
+                                          ["r0", "r1", "none"])
+            ent = (rng.random((n, ne)) if levels is None
+                   else rng.integers(0, levels, (n, ne),
+                                     endpoint=True) / levels)
+            cells = rng.random(ent.shape)
+            ent[cells < 0.2] = -0.0
+            ent[(cells >= 0.2) & (cells < 0.25)] = 0.0
+            ent[cells > 0.95] = 1.0
+            kg = KnowledgeGraph([Triple(int(s), int(v), int(o))
+                                 for s, v, o in zip(rng.integers(0, ne, 60),
+                                                    rng.integers(0, 2, 60),
+                                                    rng.integers(0, ne, 60))])
+            enc = EncodingMatrix(Matrix(spied, (ne,), (n,), ent), vocab)
+            kinds.clear()
+            verbs = build_verb_matrix(enc, kg)
+            distinct = len(np.unique(np.append(ent, 0.0)))
+            assert set(kinds) == {np.dtype(np.uint16 if distinct <= 1 << 16
+                                           else np.uint32)}
+            # Adding +0.0 turns the oracle's -0.0 zeros into +0.0.
+            want = per_triple_verb(enc, kg) + 0.0
+            assert verbs.blocks.dtype == np.float64
+            assert verbs.blocks.tobytes() == want.tobytes()
+            assert not np.signbit(verbs.blocks).any()
+            assert not verbs.blocks[2].any()
+        assert distinct > 1 << 16
+
+
+@pytest.mark.parametrize("positive", [(1 << 16) - 1, 1 << 16])
+def test_fuzzy_rank_width_boundary(positive):
+    """With +0.0, 65,536 values still fit uint16 ranks and 65,537 need
+    uint32: the top value keeps its rank and decodes to 1.0."""
+    ne = (positive + 1) // 2
+    vocab = Vocabulary.from_lists([f"e{i}" for i in range(ne)], ["r"])
+    ent = np.resize(np.arange(1, positive + 1) / positive, (2, ne))
+    top = int(np.argmax(ent[1]))
+    kg = KnowledgeGraph([Triple(top, 0, top), Triple(0, 0, ne - 1),
+                         Triple(ne - 1, 0, 1)])
+    enc = EncodingMatrix(Matrix(FUZZY, (ne,), (2,), ent), vocab)
+    _, ranks = encoding_mod._ranks(ent)
+    assert ranks.dtype == (np.uint16 if positive < 1 << 16 else np.uint32)
+    assert ranks.max() == positive
+    verbs = build_verb_matrix(enc, kg)
+    assert verbs.blocks[0, 1, 1] == 1.0
+    assert verbs.blocks.tobytes() == per_triple_verb(enc, kg).tobytes()
+
+
 @pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
 def test_verb_blocks_contiguous_read_only(sr):
     """Every relation's square is a C-contiguous, read-only n x n view
@@ -221,3 +287,31 @@ def test_normalize_l1():
     for sr in (BOOLEAN, FUZZY):
         with pytest.raises(SemiringMismatch, match="nonneg-real"):
             normalize_l1(identity_encoding(vocab, sr))
+
+
+def test_normalize_l1_matches_column_loop():
+    """Bitwise equal to dividing each nonzero column by its own sum, with
+    the same warning naming the zero columns."""
+    rng = np.random.default_rng(19)
+    for n, ne in [(3, 7), (8, 5), (100, 40), (1000, 6)]:
+        ent = rng.random((n, ne)) * 10.0 ** rng.integers(-3, 4, (n, ne))
+        ent[:, rng.random(ne) < 0.3] = 0.0
+        if n == 8:
+            ent[:, 0] = 0.0
+        vocab = Vocabulary.from_lists([f"e{i}" for i in range(ne)], ["r"])
+        want = ent.copy()
+        zero_cols = []
+        for e in range(ne):
+            mass = ent[:, e].sum()
+            if mass == 0.0:
+                zero_cols.append(vocab.entities[e])
+            else:
+                want[:, e] = ent[:, e] / mass
+        enc = EncodingMatrix(Matrix(NONNEG_REAL, (ne,), (n,), ent), vocab)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            normed = normalize_l1(enc)
+        assert normed.matrix.entries.tobytes() == want.tobytes()
+        assert [str(w.message) for w in caught] == (
+            [f"zero embedding columns left unnormalized: {zero_cols}"]
+            if zero_cols else [])

@@ -130,6 +130,33 @@ def test_boolean_vector_matmul_temporaries_bounded(monkeypatch):
         assert sizes and max(sizes) <= 6
 
 
+@pytest.mark.parametrize("dtype", [bool, np.float64, np.uint16, np.uint32],
+                         ids=lambda d: np.dtype(d).name)
+def test_transposed_left_operand_same_bytes(dtype, monkeypatch):
+    """A transposed left operand against one column, as E^T . col for a
+    subject hole, gives the bytes of the same product on a C-contiguous
+    copy of the operand: boolean, fuzzy, and fuzzy on integer ranks."""
+    sr = BOOLEAN if dtype is bool else FUZZY
+    rng = np.random.default_rng(11)
+    for chunk in (semiring_mod._CHUNK, 4):
+        monkeypatch.setattr(semiring_mod, "_CHUNK", chunk)
+        for k, m in [(2, 2), (6, 5), (3, 40), (32, 700)]:
+            if dtype is bool or dtype is np.float64:
+                e = random_entries(rng, (k, m), sr)
+                col = random_entries(rng, (k, 1), sr)
+            else:
+                top = np.iinfo(dtype).max
+                e = rng.integers(0, top, (k, m), dtype=dtype, endpoint=True)
+                col = rng.integers(0, top, (k, 1), dtype=dtype, endpoint=True)
+            assert e.T.flags.f_contiguous and not e.T.flags.c_contiguous
+            got = sr.matmul(e.T, col)
+            want = sr.matmul(np.ascontiguousarray(e.T), col)
+            assert got.shape == (m, 1) and got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+            if m * k <= 200:
+                assert np.array_equal(got, naive_matmul(sr, e.T, col))
+
+
 def test_validation():
     with pytest.raises(ValueError):
         NONNEG_REAL.array([-1.0])
