@@ -16,6 +16,7 @@ from .encoding import (build_verb_matrix, identity_encoding, load_embeddings,
                        normalize_l1)
 from .errors import BudgetExceeded, DiscoError
 from .kb import load_kg
+from .matrix import DEFAULT_BUDGET
 from .questions import parse_question, rank_answers
 from .resolution import (default_constraints, load_constraints,
                          resolve_argmax, score_all_matchings)
@@ -44,6 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--all", action="store_true",
                         help="resolve: print every matching scored")
     common.add_argument("--json", action="store_true")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        metavar="N", help="scalars per dense allocation")
 
     parser = argparse.ArgumentParser(
         prog="discoquery",
@@ -72,10 +75,10 @@ class _Session:
         if args.embeddings:
             self.enc = load_embeddings(args.embeddings, self.vocab, self.sr)
         else:
-            self.enc = identity_encoding(self.vocab, self.sr)
+            self.enc = identity_encoding(self.vocab, self.sr, args.budget)
         if args.normalize:
             self.enc = normalize_l1(self.enc)
-        self.verbs = build_verb_matrix(self.enc, self.kg)
+        self.verbs = build_verb_matrix(self.enc, self.kg, args.budget)
         self.lemmas = load_lemmas(args.lemmas) if args.lemmas else None
 
 
@@ -118,7 +121,7 @@ def cmd_resolve(args) -> int:
         constraints = default_constraints(d.k, ses.vocab)
     if args.all:
         scored = score_all_matchings(d, constraints, ses.enc, ses.verbs,
-                                     ses.vocab)
+                                     ses.vocab, args.budget)
         if args.json:
             print(json.dumps({"matchings": [
                 {"assignment": [ses.vocab.entities[e] for e in mu.assignment],
@@ -130,7 +133,8 @@ def cmd_resolve(args) -> int:
                     mu.assignment[members[0]]] for members in constraints.classes]
                 print("\t".join(names + [format_scalar(ses.sr, v)]))
         return 0
-    mu, score = resolve_argmax(d, constraints, ses.enc, ses.verbs, ses.vocab)
+    mu, score = resolve_argmax(d, constraints, ses.enc, ses.verbs, ses.vocab,
+                               args.budget)
     if args.json:
         print(json.dumps({
             "classes": [

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DomainError, LoadError,
-                     SemiringMismatch, VerbOverflow, utf8_text)
+from .errors import (DomainError, LoadError, SemiringMismatch, VerbOverflow,
+                     utf8_text)
 from .kb import KnowledgeGraph, Vocabulary
-from .matrix import DEFAULT_BUDGET, Matrix, check_budget
+from .matrix import Matrix, check_budget
 from .semiring import NONNEG_REAL, Semiring
 
 # Scalars a gathered operand of the dense verb build may hold beyond n^2.
@@ -39,6 +40,18 @@ class EncodingMatrix:
     def column(self, e: int) -> np.ndarray:
         return self.matrix.entries[:, e]
 
+    @cached_property
+    def operands(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """(values, entries) that queries contract on: for fuzzy, E's sorted
+        values (+0.0 first) and E as uint16 or uint32 ranks into them, exact
+        as max and min commute with order-preserving maps; else (None, E)."""
+        e = self.matrix.entries
+        return _ranks(e) if self.semiring.name == "fuzzy-minmax" else (None, e)
+
+    def decode(self, arr: np.ndarray) -> np.ndarray:
+        """Values of an array in the form of ``operands``."""
+        return arr if self.operands[0] is None else self.operands[0].take(arr)
+
 
 @dataclass(frozen=True, eq=False)
 class VerbMatrix:
@@ -46,10 +59,12 @@ class VerbMatrix:
     sum over v's triples of E|s> (x) E|o>, subject wire as rows.
 
     ``blocks`` is one read-only, C-contiguous (|R|, n, n) array, so every
-    contraction reads a contiguous operand.
+    contraction reads a contiguous operand.  Queries contract on
+    ``operands``, the blocks in the form of the encoding's ``operands``.
     """
     semiring: Semiring
     blocks: np.ndarray = field(repr=False)
+    operands: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -140,23 +155,28 @@ def load_embeddings(path, vocab: Vocabulary,
     return EncodingMatrix(matrix, vocab)
 
 
-def identity_encoding(vocab: Vocabulary,
-                      semiring: Semiring = NONNEG_REAL) -> EncodingMatrix:
-    """Degenerate encoding with n = |E|: semantics collapse to crisp KG queries."""
+def identity_encoding(vocab: Vocabulary, semiring: Semiring = NONNEG_REAL,
+                      budget: int | None = None) -> EncodingMatrix:
+    """Degenerate encoding with n = |E|: semantics collapse to crisp KG
+    queries.  Raises BudgetExceeded if |E|^2 exceeds the budget."""
     ne = vocab.n_entities
-    if ne * ne > DEFAULT_BUDGET:
-        raise BudgetExceeded(ne * ne, DEFAULT_BUDGET)
+    check_budget(ne * ne, budget)
     return EncodingMatrix(
         Matrix(semiring, (ne,), (ne,), np.eye(ne, dtype=semiring.dtype)), vocab)
 
 
 def _ranks(e: np.ndarray):
     """Sorted values of E (+0.0 first) and E as ranks, one column block at a
-    time; a block searches its distinct values, 2-3x faster than each entry."""
+    time: each block's new values merge into one running table (-0.0 equals
+    its +0.0), then a block searches its distinct values, 2-3x faster than
+    each entry.  The table and one block are the most alive at once."""
     step = max(1, _GATHER // (4 * len(e)))  # np.unique takes ~48 B a scalar
     cols = [slice(j, j + step) for j in range(0, e.shape[1], step)]
-    values = np.unique(np.hstack([0.0, *(np.unique(e[:, c]) for c in cols)]))
-    values[0] = 0.0  # np.unique may keep a -0.0 entry for the zero
+    values = np.zeros(1)
+    for local in (np.unique(e[:, c]) for c in cols):
+        at = values.searchsorted(local)
+        new = values.take(at, mode="clip") != local
+        values = np.insert(values, at[new], local[new])
     ranks = np.empty(e.shape, np.uint16 if len(values) <= 65536 else np.uint32)
     for c in cols:
         local, inverse = np.unique(e[:, c], return_inverse=True)
@@ -164,7 +184,8 @@ def _ranks(e: np.ndarray):
     return values, ranks
 
 
-def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
+def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph,
+                      budget: int | None = None) -> VerbMatrix:
     """Verb matrix: block v is the sum over v's triples of E|s> (x) E|o>.
 
     The kernel follows from the encoding; neither contracts the dense KG
@@ -178,18 +199,19 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
     - Any other encoding: V_v = E[:, S_v] . E[:, O_v]^T by Semiring.matmul,
       O(n^2 T) semiring flops in all, added in place into block v, with v's
       triples taken in batches so that a gathered operand holds at most
-      max(n^2, _GATHER) scalars.  Fuzzy runs on uint16 or uint32 ranks of
-      E's values: max and min commute with order-preserving maps, so exact.
+      max(n^2, _GATHER) scalars.  Both run on ``enc.operands`` (ranks, for
+      fuzzy), keep that form as ``operands``, and decode once.
 
-    Raises VerbOverflow, naming the relation, if a real entry overflows.
+    Raises BudgetExceeded if |R| n^2 exceeds the budget, and VerbOverflow,
+    naming the relation, if a real entry overflows.
     """
     sr = enc.semiring
     n = enc.n
     vocab = enc.vocab
     nr = vocab.n_relations
-    check_budget(n * n * max(nr, 1))
-    e = enc.matrix.entries
-    blocks = np.zeros((nr, n, n), dtype=sr.dtype)
+    check_budget(n * n * max(nr, 1), budget)
+    e = enc.operands[1]
+    blocks = np.zeros((nr, n, n), dtype=e.dtype)
     with np.errstate(over="ignore"):
         if (np.count_nonzero(e, axis=0) <= 1).all():
             rows = e.argmax(axis=0)
@@ -199,9 +221,6 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
                       sr.mul(weight[s], weight[o]))
         else:
             step = max(n, _GATHER // n)
-            if sr.name == "fuzzy-minmax":
-                values, e = _ranks(e)
-                blocks = np.zeros_like(blocks, dtype=e.dtype)
             for v in range(nr):
                 s, _, o = kg.relation(v).T
                 block = blocks[v]
@@ -210,14 +229,13 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
                     sr.add(block, sr.matmul(e.take(s[sl], axis=1),
                                             e.take(o[sl], axis=1).T),
                            out=block)
-            if sr.name == "fuzzy-minmax":
-                blocks = values.take(blocks)
+    operands, blocks = blocks, enc.decode(blocks)
     if sr.name != "boolean":
         finite = np.isfinite(blocks).all(axis=(1, 2))
         if not finite.all():
             raise VerbOverflow(vocab.relations[int(np.argmin(finite))])
-    blocks.flags.writeable = False
-    return VerbMatrix(sr, blocks)
+    blocks.flags.writeable = operands.flags.writeable = False
+    return VerbMatrix(sr, blocks, operands)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -18,8 +18,8 @@ from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError
 from .kb import Vocabulary
 from .matrix import Matrix, cap, compose, cup, tensor, wire_permutation
-from .semantics import (AtomicSentence, NounPhrase, PronounNP, _noun_array,
-                        _Parser, eval_sentence, parse_sentence,
+from .semantics import (AtomicSentence, NounPhrase, PronounNP, _Parser,
+                        contract, eval_sentence, noun_vector, parse_sentence,
                         sentence_effect)
 
 
@@ -69,26 +69,28 @@ def parse_question(text: str, vocab: Vocabulary, lemmas=None,
     return q
 
 
+def _sentence(q: Question) -> AtomicSentence:
+    """A question is a sentence whose holes are open pronoun wires."""
+    if isinstance(q, SubjectWho):
+        return AtomicSentence(PronounNP(0, "who"), q.verb, q.object)
+    if isinstance(q, ObjectWhom):
+        return AtomicSentence(q.subject, q.verb, PronounNP(0, "whom"))
+    if isinstance(q, WhoWhom):
+        return AtomicSentence(PronounNP(0, "who"), q.verb, PronounNP(1, "whom"))
+    raise TypeError(f"not a question: {q!r}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def question_effect(q: Question, enc: EncodingMatrix,
                     verbs: VerbMatrix) -> Matrix:
     """Effect |E| -> 1 (or |E|^2 -> 1 for the two-variable form).
 
-    A question is a sentence whose holes are open pronoun wires.  Wire order
-    for the two-variable form is (subject, object).  The object question is
-    evaluated in its snake-rewritten direct form; the explicit "does"-cap
-    construction lives in :func:`object_whom_cap_form` and agrees with it
-    entrywise.  Raises DomainError (from ``Matrix``) on overflow.
+    Wire order for the two-variable form is (subject, object).  The object
+    question is evaluated in its snake-rewritten direct form; the explicit
+    "does"-cap construction lives in :func:`object_whom_cap_form` and agrees
+    with it entrywise.  Raises DomainError (from ``Matrix``) on overflow.
     """
-    if isinstance(q, SubjectWho):
-        s = AtomicSentence(PronounNP(0, "who"), q.verb, q.object)
-    elif isinstance(q, ObjectWhom):
-        s = AtomicSentence(q.subject, q.verb, PronounNP(0, "whom"))
-    elif isinstance(q, WhoWhom):
-        s = AtomicSentence(PronounNP(0, "who"), q.verb, PronounNP(1, "whom"))
-    else:
-        raise TypeError(f"not a question: {q!r}")
-    return sentence_effect(s, enc, verbs)
+    return sentence_effect(_sentence(q), enc, verbs)
 
 
 def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
@@ -102,9 +104,7 @@ def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
     """
     sr = enc.semiring
     n = enc.n
-    ne = enc.vocab.n_entities
-    subj = Matrix(sr, (), (n,),
-                  _noun_array(q.subject, enc, verbs).reshape(-1, 1))
+    subj = noun_vector(q.subject, enc, verbs)
     verb_state = Matrix(sr, (), (n, n),
                         verbs.square(q.verb).reshape(-1, 1))
     # |E| -> n^6, wire order A B C D F G
@@ -115,13 +115,16 @@ def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
     return compose(step, tensor(cup(n, sr), cup(n, sr)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rank_answers(q: Question, enc: EncodingMatrix, verbs: VerbMatrix,
                  vocab: Vocabulary) -> list[tuple[int, object]]:
-    """All |E| candidates, descending by score, ties by entity ordinal."""
+    """All |E| candidates, descending by score, ties by entity ordinal.
+    Raises DomainError if a score overflows."""
     if isinstance(q, WhoWhom):
         raise GrammarError(
             "two-variable question has no single ranking; compile it instead")
-    scores = question_effect(q, enc, verbs).entries.reshape(-1)
+    scores = contract(_sentence(q), enc, verbs).reshape(-1)
+    enc.semiring.validate(scores)
     # A stable sort on the negated scores keeps ties in ordinal order.
     order = np.argsort(~scores if scores.dtype == bool else -scores,
                        kind="stable")

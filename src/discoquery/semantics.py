@@ -184,11 +184,11 @@ def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
                 verbs: VerbMatrix) -> np.ndarray:
     sr = enc.semiring
     if isinstance(np_, EntityNP):
-        return enc.column(np_.ordinal)
+        return enc.operands[1][:, np_.ordinal]
     if isinstance(np_, RestrictedNP):
         head = _noun_array(np_.head, enc, verbs)
         comp = _noun_array(np_.complement, enc, verbs)
-        square = verbs.square(np_.verb)
+        square = verbs.operands[np_.verb]
         # contract the verb's object wire with the complement, then intersect
         return sr.mul(head, sr.matmul(square, comp[:, None])[:, 0])
     raise GrammarError(f"pronoun {np_.surface!r} in a closed noun phrase")
@@ -197,7 +197,7 @@ def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
 def noun_vector(np_: NounPhrase, enc: EncodingMatrix,
                 verbs: VerbMatrix) -> Matrix:
     """State 1 -> n for a pronoun-free noun phrase."""
-    vec = _noun_array(np_, enc, verbs)
+    vec = enc.decode(_noun_array(np_, enc, verbs))
     return Matrix(enc.semiring, (), (enc.n,), vec.reshape(-1, 1))
 
 
@@ -210,19 +210,31 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
     ``wire(pronoun)``: E itself by default, E[:, C] for a candidate class C,
     E[:, [e]] for a bound entity, or E . state for an entity-store state.
     The narrower side meets V first, the subject side on a tie.
+    Products run on ``enc.operands`` and ``verbs.operands`` (ranks, for
+    fuzzy), decoded once; a float wire block is ranked in E's value table
+    merged with its own values for this call.
     """
     sr = enc.semiring
+    values, e = enc.operands
 
     def side(np_):
         if isinstance(np_, PronounNP):
-            return enc.matrix.entries if wire is None else wire(np_)
+            return e if wire is None else wire(np_)
         return _noun_array(np_, enc, verbs)[:, None]
 
     left, right = side(s.subject), side(s.object)
-    square = verbs.square(s.verb)
+    square = verbs.operands[s.verb]
+    if values is not None and "f" in left.dtype.kind + right.dtype.kind:
+        ops = [b if b.dtype.kind == "f" else values.take(b)
+               for b in (left, right, square)]
+        values = np.union1d(values, np.append(ops[0], ops[1]))
+        values[0] = 0.0  # np.unique may keep a -0.0 for the zero
+        left, right, square = (values.searchsorted(b) for b in ops)
     if left.shape[1] <= right.shape[1]:
-        return sr.matmul(sr.matmul(left.T, square), right)
-    return sr.matmul(left.T, sr.matmul(square, right))
+        out = sr.matmul(sr.matmul(left.T, square), right)
+    else:
+        out = sr.matmul(left.T, sr.matmul(square, right))
+    return out if values is None else values.take(out)
 
 
 def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,

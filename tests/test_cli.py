@@ -200,6 +200,33 @@ def test_exit_3_on_budget(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_budget_flag(capsys, tmp_path):
+    """--budget caps the identity encoding (|E|^2 = 25 scalars here), the
+    verb build (|R| n^2 = 50), the resolution table and the --all
+    enumeration; past it each exits 3 with one error line."""
+    spinoza = "spinoza influenced him . he discovered calculus ."
+    for budget, want in ((24, 3), (49, 3), (50, 0)):
+        for cmd, text in (("ask", "leibniz discovered calculus ."),
+                          ("resolve", spinoza)):
+            code, out, err = run(capsys, [cmd, "--kg", KG, "--budget",
+                                          str(budget), text])
+            assert code == want, (budget, cmd)
+            if want:
+                assert not out and err.startswith("error:")
+                assert err.count("\n") == 1
+    # With n = 2 the verbs need 8 scalars; "he influenced him ." couples
+    # two classes of 5 candidates: a 25-scalar table and 25 matchings.
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("".join(f"{e}\t0.5,0.{i}\n" for i, e in enumerate(
+        ["descartes", "spinoza", "leibniz", "calculus", "newton"])))
+    for budget, want in ((24, 3), (25, 0)):
+        for extra in ([], ["--all"]):
+            code, _, err = run(capsys, [
+                "resolve", "--kg", KG, "--embeddings", str(emb), "--budget",
+                str(budget), *extra, "he influenced him ."])
+            assert code == want, (budget, extra)
+
+
 def test_emit_sparql_needs_vocabulary_only(capsys, tmp_path):
     """A KG too large for the identity verb matrix still compiles."""
     big = tmp_path / "big.kg"

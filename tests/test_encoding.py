@@ -8,7 +8,8 @@ from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, build_verb_matrix,
                         identity_encoding, load_embeddings, load_kg,
                         normalize_l1, similarity)
 from discoquery import encoding as encoding_mod
-from discoquery.errors import LoadError, SemiringMismatch, VerbOverflow
+from discoquery.errors import (BudgetExceeded, LoadError, SemiringMismatch,
+                               VerbOverflow)
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.matrix import Matrix
 from discoquery.encoding import EncodingMatrix
@@ -84,6 +85,14 @@ def test_identity_encoding_similarity():
     for i in range(3):
         for j in range(3):
             assert similarity(enc, i, j) == (1.0 if i == j else 0.0)
+
+
+def test_identity_encoding_budget():
+    """|E|^2 scalars against the budget passed in."""
+    vocab = Vocabulary.from_lists(["a", "b", "c"], ["r"])
+    with pytest.raises(BudgetExceeded, match="9 scalars exceeds budget of 8"):
+        identity_encoding(vocab, budget=8)
+    assert identity_encoding(vocab, budget=9).n == 3
 
 
 def test_verb_matrix_identity_encoding():
