@@ -16,7 +16,6 @@ from .encoding import (build_verb_matrix, identity_encoding, load_embeddings,
                        normalize_l1)
 from .errors import BudgetExceeded, DiscoError
 from .kb import load_kg
-from .matrix import DEFAULT_BUDGET
 from .questions import parse_question, rank_answers
 from .resolution import (default_constraints, load_constraints,
                          resolve_argmax, score_all_matchings)
@@ -45,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--all", action="store_true",
                         help="resolve: print every matching scored")
     common.add_argument("--json", action="store_true")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        metavar="N", help="scalars per dense allocation")
 
     parser = argparse.ArgumentParser(
         prog="discoquery",
@@ -75,10 +72,10 @@ class _Session:
         if args.embeddings:
             self.enc = load_embeddings(args.embeddings, self.vocab, self.sr)
         else:
-            self.enc = identity_encoding(self.vocab, self.sr, args.budget)
+            self.enc = identity_encoding(self.vocab, self.sr)
         if args.normalize:
             self.enc = normalize_l1(self.enc)
-        self.verbs = build_verb_matrix(self.enc, self.kg, args.budget)
+        self.verbs = build_verb_matrix(self.enc, self.kg)
         self.lemmas = load_lemmas(args.lemmas) if args.lemmas else None
 
 
@@ -121,7 +118,7 @@ def cmd_resolve(args) -> int:
         constraints = default_constraints(d.k, ses.vocab)
     if args.all:
         scored = score_all_matchings(d, constraints, ses.enc, ses.verbs,
-                                     ses.vocab, args.budget)
+                                     ses.vocab)
         if args.json:
             print(json.dumps({"matchings": [
                 {"assignment": [ses.vocab.entities[e] for e in mu.assignment],
@@ -133,8 +130,7 @@ def cmd_resolve(args) -> int:
                     mu.assignment[members[0]]] for members in constraints.classes]
                 print("\t".join(names + [format_scalar(ses.sr, v)]))
         return 0
-    mu, score = resolve_argmax(d, constraints, ses.enc, ses.verbs, ses.vocab,
-                               args.budget)
+    mu, score = resolve_argmax(d, constraints, ses.enc, ses.verbs, ses.vocab)
     if args.json:
         print(json.dumps({
             "classes": [

@@ -52,23 +52,39 @@ class EncodingMatrix:
         """Values of an array in the form of ``operands``."""
         return arr if self.operands[0] is None else self.operands[0].take(arr)
 
+    def verb_operands(self, verbs: VerbMatrix) -> np.ndarray:
+        """``verbs.operands``; ValueError if ranked in another value table."""
+        if not (verbs.values is self.operands[0]
+                or np.array_equal(verbs.values, self.operands[0])):
+            raise ValueError("verbs built on another encoding's values")
+        return verbs.operands
+
 
 @dataclass(frozen=True, eq=False)
 class VerbMatrix:
-    """Map |R| -> n (x) n, stored relation-major: ``blocks[v]`` is the n x n
-    sum over v's triples of E|s> (x) E|o>, subject wire as rows.
+    """Map |R| -> n (x) n, stored relation-major: block v is the n x n sum
+    over v's triples of E|s> (x) E|o>, subject wire as rows.
 
-    ``blocks`` is one read-only, C-contiguous (|R|, n, n) array, so every
-    contraction reads a contiguous operand.  Queries contract on
-    ``operands``, the blocks in the form of the encoding's ``operands``.
+    ``operands`` is one read-only, C-contiguous (|R|, n, n) array, in the
+    encoding's ``operands`` form (ranks into ``values``, for fuzzy), so
+    every contraction reads a contiguous operand.
     """
     semiring: Semiring
-    blocks: np.ndarray = field(repr=False)
     operands: np.ndarray = field(repr=False)
+    values: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[1]
+        return self.operands.shape[1]
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The (|R|, n, n) values, decoded on first access; for the oracles
+        and tests, not for queries."""
+        blocks = self.operands if self.values is None else \
+            self.values.take(self.operands)
+        blocks.flags.writeable = False
+        return blocks
 
     def square(self, v: int) -> np.ndarray:
         """Relation v as a contiguous n x n view, subject wire as rows."""
@@ -78,7 +94,7 @@ class VerbMatrix:
     def matrix(self) -> Matrix:
         """The verbs as one Matrix |R| -> n (x) n, built on each access;
         for the oracles and tests, not for queries."""
-        nr, n = self.blocks.shape[:2]
+        nr, n = self.operands.shape[:2]
         return Matrix(self.semiring, (nr,), (n, n),
                       self.blocks.reshape(nr, n * n).T)
 
@@ -155,28 +171,22 @@ def load_embeddings(path, vocab: Vocabulary,
     return EncodingMatrix(matrix, vocab)
 
 
-def identity_encoding(vocab: Vocabulary, semiring: Semiring = NONNEG_REAL,
-                      budget: int | None = None) -> EncodingMatrix:
-    """Degenerate encoding with n = |E|: semantics collapse to crisp KG
-    queries.  Raises BudgetExceeded if |E|^2 exceeds the budget."""
+def identity_encoding(vocab: Vocabulary,
+                      semiring: Semiring = NONNEG_REAL) -> EncodingMatrix:
+    """Degenerate encoding with n = |E|: semantics collapse to crisp KG queries."""
     ne = vocab.n_entities
-    check_budget(ne * ne, budget)
+    check_budget(ne * ne)
     return EncodingMatrix(
         Matrix(semiring, (ne,), (ne,), np.eye(ne, dtype=semiring.dtype)), vocab)
 
 
 def _ranks(e: np.ndarray):
     """Sorted values of E (+0.0 first) and E as ranks, one column block at a
-    time: each block's new values merge into one running table (-0.0 equals
-    its +0.0), then a block searches its distinct values, 2-3x faster than
-    each entry.  The table and one block are the most alive at once."""
+    time; a block searches its distinct values, 2-3x faster than each entry."""
     step = max(1, _GATHER // (4 * len(e)))  # np.unique takes ~48 B a scalar
     cols = [slice(j, j + step) for j in range(0, e.shape[1], step)]
-    values = np.zeros(1)
-    for local in (np.unique(e[:, c]) for c in cols):
-        at = values.searchsorted(local)
-        new = values.take(at, mode="clip") != local
-        values = np.insert(values, at[new], local[new])
+    values = np.unique(e)  # a zero of either sign leads, replaced by +0.0
+    values = np.append(0.0, values[values.searchsorted(0.0, "right"):])
     ranks = np.empty(e.shape, np.uint16 if len(values) <= 65536 else np.uint32)
     for c in cols:
         local, inverse = np.unique(e[:, c], return_inverse=True)
@@ -184,8 +194,7 @@ def _ranks(e: np.ndarray):
     return values, ranks
 
 
-def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph,
-                      budget: int | None = None) -> VerbMatrix:
+def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
     """Verb matrix: block v is the sum over v's triples of E|s> (x) E|o>.
 
     The kernel follows from the encoding; neither contracts the dense KG
@@ -200,17 +209,16 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph,
       O(n^2 T) semiring flops in all, added in place into block v, with v's
       triples taken in batches so that a gathered operand holds at most
       max(n^2, _GATHER) scalars.  Both run on ``enc.operands`` (ranks, for
-      fuzzy), keep that form as ``operands``, and decode once.
+      fuzzy) and keep that form as the verbs' ``operands``.
 
-    Raises BudgetExceeded if |R| n^2 exceeds the budget, and VerbOverflow,
-    naming the relation, if a real entry overflows.
+    Raises VerbOverflow, naming the relation, if a real entry overflows.
     """
     sr = enc.semiring
     n = enc.n
     vocab = enc.vocab
     nr = vocab.n_relations
-    check_budget(n * n * max(nr, 1), budget)
-    e = enc.operands[1]
+    check_budget(n * n * max(nr, 1))
+    values, e = enc.operands
     blocks = np.zeros((nr, n, n), dtype=e.dtype)
     with np.errstate(over="ignore"):
         if (np.count_nonzero(e, axis=0) <= 1).all():
@@ -229,13 +237,12 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph,
                     sr.add(block, sr.matmul(e.take(s[sl], axis=1),
                                             e.take(o[sl], axis=1).T),
                            out=block)
-    operands, blocks = blocks, enc.decode(blocks)
-    if sr.name != "boolean":
+    if sr.name == "nonneg-real":
         finite = np.isfinite(blocks).all(axis=(1, 2))
         if not finite.all():
             raise VerbOverflow(vocab.relations[int(np.argmin(finite))])
-    blocks.flags.writeable = operands.flags.writeable = False
-    return VerbMatrix(sr, blocks, operands)
+    blocks.flags.writeable = False
+    return VerbMatrix(sr, blocks, values)
 
 
 @np.errstate(over="ignore", invalid="ignore")

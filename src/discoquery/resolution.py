@@ -187,20 +187,20 @@ def _product(sentences, enc: EncodingMatrix, verbs: VerbMatrix, wire=None):
 
 def score_all_matchings(d: Discourse, constraints: DrsConstraints,
                         enc: EncodingMatrix, verbs: VerbMatrix,
-                        vocab: Vocabulary, budget: int | None = None):
+                        vocab: Vocabulary):
     """Every constrained matching with its scalar, in enumeration order.
 
     Raises BudgetExceeded past the budget, DomainError if a scalar overflows.
     """
-    check_budget(prod(map(len, constraints.candidates)), budget)
+    check_budget(prod(map(len, constraints.candidates)))
     return [(mu, resolution_scalar(d, mu, enc, verbs))
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def resolve_argmax(d: Discourse, constraints: DrsConstraints,
-                   enc: EncodingMatrix, verbs: VerbMatrix, vocab: Vocabulary,
-                   budget: int | None = None) -> tuple[MatchingFunction, object]:
+                   enc: EncodingMatrix, verbs: VerbMatrix,
+                   vocab: Vocabulary) -> tuple[MatchingFunction, object]:
     """Best matching under the semiring order and its score.
 
     Ties go to the first best matching in ``enumerate_matchings`` order.
@@ -226,9 +226,8 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     """
     sr = enc.semiring
     _check_constraints(constraints, d.k)
-    # E[:, C] per class of the encoding's operands, gathered once in C order
-    # like E itself (so BLAS sums alike); a class over every entity
-    # contracts on E, ungathered.
+    # E[:, C] per class, of the encoding's operands, gathered once in C order
+    # like E (so BLAS sums alike); a class over every entity contracts on E.
     e = enc.operands[1]
     everyone = range(vocab.n_entities)
     columns = [e if cands == everyone else np.take(e, cands, axis=1)
@@ -246,8 +245,7 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
 
     tables = []
     for comp in _blocks(n_classes, sentence_classes):
-        check_budget(prod(len(constraints.candidates[c]) for c in comp),
-                     budget)
+        check_budget(prod(len(constraints.candidates[c]) for c in comp))
         table = sr.one
         for s, cls in zip(d.sentences, sentence_classes):
             if not cls or cls[0] not in comp:
@@ -255,7 +253,7 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
             if len(cls) == 1 and len(s.slots()) == 2:
                 col = columns[cls[0]]
                 factor = enc.decode(sr.sum(sr.mul(col, sr.matmul(
-                    verbs.operands[s.verb], col)), axis=0))
+                    enc.verb_operands(verbs)[s.verb], col)), axis=0))
             else:
                 factor = contract(s, enc, verbs, candidates)
                 if len(cls) == 2 and cls[0] > cls[1]:

@@ -188,7 +188,7 @@ def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
     if isinstance(np_, RestrictedNP):
         head = _noun_array(np_.head, enc, verbs)
         comp = _noun_array(np_.complement, enc, verbs)
-        square = verbs.operands[np_.verb]
+        square = enc.verb_operands(verbs)[np_.verb]
         # contract the verb's object wire with the complement, then intersect
         return sr.mul(head, sr.matmul(square, comp[:, None])[:, 0])
     raise GrammarError(f"pronoun {np_.surface!r} in a closed noun phrase")
@@ -210,9 +210,8 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
     ``wire(pronoun)``: E itself by default, E[:, C] for a candidate class C,
     E[:, [e]] for a bound entity, or E . state for an entity-store state.
     The narrower side meets V first, the subject side on a tie.
-    Products run on ``enc.operands`` and ``verbs.operands`` (ranks, for
-    fuzzy), decoded once; a float wire block is ranked in E's value table
-    merged with its own values for this call.
+    Products run on the operands (ranks, for fuzzy), decoded once; a float
+    wire block is ranked in E's values merged with its own, for this call.
     """
     sr = enc.semiring
     values, e = enc.operands
@@ -223,7 +222,7 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
         return _noun_array(np_, enc, verbs)[:, None]
 
     left, right = side(s.subject), side(s.object)
-    square = verbs.operands[s.verb]
+    square = enc.verb_operands(verbs)[s.verb]
     if values is not None and "f" in left.dtype.kind + right.dtype.kind:
         ops = [b if b.dtype.kind == "f" else values.take(b)
                for b in (left, right, square)]

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discoquery import matrix as matrix_mod
 from discoquery.cli import main
 
 from conftest import DATA, GOLDENS, cli_env
@@ -200,16 +201,16 @@ def test_exit_3_on_budget(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_budget_flag(capsys, tmp_path):
-    """--budget caps the identity encoding (|E|^2 = 25 scalars here), the
+def test_exit_3_past_each_budget_check(capsys, tmp_path, monkeypatch):
+    """The budget caps the identity encoding (|E|^2 = 25 scalars here), the
     verb build (|R| n^2 = 50), the resolution table and the --all
     enumeration; past it each exits 3 with one error line."""
     spinoza = "spinoza influenced him . he discovered calculus ."
     for budget, want in ((24, 3), (49, 3), (50, 0)):
+        monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", budget)
         for cmd, text in (("ask", "leibniz discovered calculus ."),
                           ("resolve", spinoza)):
-            code, out, err = run(capsys, [cmd, "--kg", KG, "--budget",
-                                          str(budget), text])
+            code, out, err = run(capsys, [cmd, "--kg", KG, text])
             assert code == want, (budget, cmd)
             if want:
                 assert not out and err.startswith("error:")
@@ -220,10 +221,11 @@ def test_budget_flag(capsys, tmp_path):
     emb.write_text("".join(f"{e}\t0.5,0.{i}\n" for i, e in enumerate(
         ["descartes", "spinoza", "leibniz", "calculus", "newton"])))
     for budget, want in ((24, 3), (25, 0)):
+        monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", budget)
         for extra in ([], ["--all"]):
             code, _, err = run(capsys, [
-                "resolve", "--kg", KG, "--embeddings", str(emb), "--budget",
-                str(budget), *extra, "he influenced him ."])
+                "resolve", "--kg", KG, "--embeddings", str(emb), *extra,
+                "he influenced him ."])
             assert code == want, (budget, extra)
 
 

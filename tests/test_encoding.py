@@ -8,6 +8,7 @@ from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, build_verb_matrix,
                         identity_encoding, load_embeddings, load_kg,
                         normalize_l1, similarity)
 from discoquery import encoding as encoding_mod
+from discoquery import matrix as matrix_mod
 from discoquery.errors import (BudgetExceeded, LoadError, SemiringMismatch,
                                VerbOverflow)
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
@@ -87,12 +88,14 @@ def test_identity_encoding_similarity():
             assert similarity(enc, i, j) == (1.0 if i == j else 0.0)
 
 
-def test_identity_encoding_budget():
-    """|E|^2 scalars against the budget passed in."""
+def test_identity_encoding_budget(monkeypatch):
+    """|E|^2 scalars against the budget."""
     vocab = Vocabulary.from_lists(["a", "b", "c"], ["r"])
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 8)
     with pytest.raises(BudgetExceeded, match="9 scalars exceeds budget of 8"):
-        identity_encoding(vocab, budget=8)
-    assert identity_encoding(vocab, budget=9).n == 3
+        identity_encoding(vocab)
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 9)
+    assert identity_encoding(vocab).n == 3
 
 
 def test_verb_matrix_identity_encoding():

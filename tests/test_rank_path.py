@@ -1,6 +1,7 @@
 """Fuzzy queries contract on integer ranks of the encoding's values: the
 same bytes as float max-min oracles, and no float operand in any product."""
 import numpy as np
+import pytest
 
 from discoquery import (FUZZY, EncodingMatrix, Matrix, build_verb_matrix,
                         enumerate_matchings, load_embeddings, load_kg,
@@ -222,3 +223,24 @@ def test_fuzzy_queries_multiply_integers(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(operands) > 100
     assert {k for pair in operands for k in pair} <= {"u", "i"}
+
+
+def test_verbs_of_another_value_table_raise():
+    """Fuzzy verb operands are ranks into the value table of the encoding
+    they were built on: an encoding with equal values, built again, may
+    use them; one with other values raises instead of misreading them."""
+    rng = np.random.default_rng(29)
+    vocab, kg, ent, enc, verbs, oracle = setup(rng, 3, 30, 10)
+    again = EncodingMatrix(Matrix(FUZZY, (30,), (3,), ent.copy()), vocab)
+    other = EncodingMatrix(Matrix(FUZZY, (30,), (3,), ent / 2), vocab)
+    st = parse_sentence("he r0 e1 that r1 e2 .", vocab)
+    d = parse_discourse("he r0 him .", vocab)
+    cons = make_constraints(d.k, vocab, [(0, 1)])
+    want = oracle.contract(st, lambda p: ent)
+    assert same_bytes(contract(st, again, verbs), want)
+    for call in (lambda: contract(st, other, verbs),
+                 lambda: resolve_argmax(d, cons, other, verbs, vocab),
+                 lambda: rank_answers(parse_question("who r0 e1 ?", vocab),
+                                      other, verbs, vocab)):
+        with pytest.raises(ValueError, match="another encoding"):
+            call()
