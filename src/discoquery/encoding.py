@@ -13,8 +13,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import (DomainError, LoadError, SemiringMismatch, VerbOverflow,
-                     utf8_text)
+from .errors import (DomainError, LoadError, SemiringMismatch, ShapeMismatch,
+                     VerbOverflow, utf8_text)
 from .kb import KnowledgeGraph, Vocabulary
 from .matrix import Matrix, check_budget
 from .semiring import NONNEG_REAL, Semiring
@@ -25,39 +25,78 @@ _GATHER = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class EncodingMatrix:
-    """Map |E| -> n sending each one-hot entity to its noun-space vector."""
-    matrix: Matrix
+    """Map |E| -> n sending each one-hot entity to its noun-space vector.
+    ``entries`` is a read-only (n, |E|) view of the array given, validated
+    once; queries use ``columns``, ``verb``, ``ranked`` and ``decode``."""
+    semiring: Semiring
+    entries: np.ndarray = field(repr=False)
     vocab: Vocabulary
+
+    def __post_init__(self):
+        ent = np.asarray(self.entries, dtype=self.semiring.dtype).view()
+        if ent.ndim != 2 or ent.shape[1] != self.vocab.n_entities:
+            raise ShapeMismatch(f"encoding of shape {ent.shape} for "
+                                f"{self.vocab.n_entities} entities")
+        self.semiring.validate(ent)
+        ent.flags.writeable = False
+        object.__setattr__(self, "entries", ent)
 
     @property
     def n(self) -> int:
-        return self.matrix.cod_dim
+        return self.entries.shape[0]
 
     @property
-    def semiring(self) -> Semiring:
-        return self.matrix.semiring
+    def matrix(self) -> Matrix:
+        """A Matrix |E| -> n, built on each access; not for queries."""
+        return Matrix(self.semiring, (self.vocab.n_entities,), (self.n,),
+                      self.entries)
 
     def column(self, e: int) -> np.ndarray:
-        return self.matrix.entries[:, e]
+        return self.entries[:, e]
 
     @cached_property
     def operands(self) -> tuple[np.ndarray | None, np.ndarray]:
         """(values, entries) that queries contract on: for fuzzy, E's sorted
         values (+0.0 first) and E as uint16 or uint32 ranks into them, exact
         as max and min commute with order-preserving maps; else (None, E)."""
-        e = self.matrix.entries
+        e = self.entries
         return _ranks(e) if self.semiring.name == "fuzzy-minmax" else (None, e)
 
-    def decode(self, arr: np.ndarray) -> np.ndarray:
-        """Values of an array in the form of ``operands``."""
-        return arr if self.operands[0] is None else self.operands[0].take(arr)
+    def columns(self, cands) -> np.ndarray:
+        """E[:, C] in the operand form: E itself for C = ``range(|E|)``, a
+        view E[:, [e]] for one entity C = e, else gathered by take in C order
+        like E (so BLAS sums alike)."""
+        e = self.operands[1]
+        if isinstance(cands, (int, np.integer)):
+            return e[:, cands, None]
+        return e if cands == range(e.shape[1]) else e.take(cands, axis=1)
 
-    def verb_operands(self, verbs: VerbMatrix) -> np.ndarray:
-        """``verbs.operands``; ValueError if ranked in another value table."""
+    def verb(self, verbs: VerbMatrix, v: int) -> np.ndarray:
+        """Block v of ``verbs.operands``; ValueError if ranked in another
+        value table."""
         if not (verbs.values is self.operands[0]
                 or np.array_equal(verbs.values, self.operands[0])):
             raise ValueError("verbs built on another encoding's values")
-        return verbs.operands
+        return verbs.operands[v]
+
+    def decode(self, arr: np.ndarray) -> np.ndarray:
+        """Values of an array in the operand form."""
+        return arr if self.operands[0] is None else self.operands[0].take(arr)
+
+    def ranked(self, left: np.ndarray, right: np.ndarray,
+               square: np.ndarray):
+        """Two wire blocks and a verb block in one operand form, and the
+        decode of their products.  For fuzzy, a float wire block (E . state,
+        a foreign column) is ranked with the rest in E's values merged with
+        its own, for this call."""
+        values = self.operands[0]
+        if values is None or "f" not in left.dtype.kind + right.dtype.kind:
+            return (left, right, square), self.decode
+        ops = [b if b.dtype.kind == "f" else values.take(b)
+               for b in (left, right, square)]
+        values = np.union1d(values, np.append(ops[0], ops[1]))
+        values[0] = 0.0  # np.unique may keep a -0.0 for the zero
+        return tuple(values.searchsorted(b) for b in ops), values.take
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +124,6 @@ class VerbMatrix:
             self.values.take(self.operands)
         blocks.flags.writeable = False
         return blocks
-
-    def square(self, v: int) -> np.ndarray:
-        """Relation v as a contiguous n x n view, subject wire as rows."""
-        return self.blocks[v]
 
     @property
     def matrix(self) -> Matrix:
@@ -160,15 +195,13 @@ def load_embeddings(path, vocab: Vocabulary,
             dtype=np.float64, count=len(rows) * n)
     except ValueError:
         raise _row_error(path, text, vocab, semiring) from None
-    ent = np.empty((n, vocab.n_entities), dtype=np.float64)
+    ent = np.empty((n, vocab.n_entities), dtype=semiring.dtype)
     ent[:, list(map(vocab.entity_index.__getitem__, names))] = \
         values.reshape(len(rows), n).T
     try:
-        # Matrix validates the entries once, as one array.
-        matrix = Matrix(semiring, (vocab.n_entities,), (n,), ent)
+        return EncodingMatrix(semiring, ent, vocab)
     except DomainError:
         raise _row_error(path, text, vocab, semiring) from None
-    return EncodingMatrix(matrix, vocab)
 
 
 def identity_encoding(vocab: Vocabulary,
@@ -176,14 +209,14 @@ def identity_encoding(vocab: Vocabulary,
     """Degenerate encoding with n = |E|: semantics collapse to crisp KG queries."""
     ne = vocab.n_entities
     check_budget(ne * ne)
-    return EncodingMatrix(
-        Matrix(semiring, (ne,), (ne,), np.eye(ne, dtype=semiring.dtype)), vocab)
+    return EncodingMatrix(semiring, np.eye(ne, dtype=semiring.dtype), vocab)
 
 
 def _ranks(e: np.ndarray):
     """Sorted values of E (+0.0 first) and E as ranks, one column block at a
     time; a block searches its distinct values, 2-3x faster than each entry."""
-    step = max(1, _GATHER // (4 * len(e)))  # np.unique takes ~48 B a scalar
+    # np.unique takes ~48 B a scalar; n is 0 when there are no entities
+    step = max(1, _GATHER // (4 * len(e) or 1))
     cols = [slice(j, j + step) for j in range(0, e.shape[1], step)]
     values = np.unique(e)  # a zero of either sign leads, replaced by +0.0
     values = np.append(0.0, values[values.searchsorted(0.0, "right"):])
@@ -222,7 +255,7 @@ def build_verb_matrix(enc: EncodingMatrix, kg: KnowledgeGraph) -> VerbMatrix:
     blocks = np.zeros((nr, n, n), dtype=e.dtype)
     with np.errstate(over="ignore"):
         if (np.count_nonzero(e, axis=0) <= 1).all():
-            rows = e.argmax(axis=0)
+            rows = e.argmax(axis=0) if n else np.zeros(0, np.intp)  # |E| = 0
             weight = e[rows, np.arange(e.shape[1])]
             s, v, o = kg.spo.T
             sr.add.at(blocks.reshape(-1), (v * n + rows[s]) * n + rows[o],
@@ -263,11 +296,10 @@ def normalize_l1(enc: EncodingMatrix) -> EncodingMatrix:
     if enc.semiring.name != "nonneg-real":
         raise SemiringMismatch(
             "L1 normalization requires the nonneg-real semiring")
-    ent = enc.matrix.entries
+    ent = enc.entries
     mass = np.ascontiguousarray(ent.T).sum(axis=1)  # each ent[:, e].sum()
     zero_cols = [enc.vocab.entities[e] for e in np.flatnonzero(mass == 0.0)]
     if zero_cols:
         warnings.warn(f"zero embedding columns left unnormalized: {zero_cols}")
-    ent = ent / np.where(mass == 0.0, 1.0, mass)
-    return EncodingMatrix(
-        Matrix(enc.semiring, enc.matrix.dom, enc.matrix.cod, ent), enc.vocab)
+    return EncodingMatrix(enc.semiring, ent / np.where(mass == 0.0, 1.0, mass),
+                          enc.vocab)

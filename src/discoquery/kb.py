@@ -1,4 +1,4 @@
-"""Ordered vocabulary, triple storage, and the knowledge-graph effect.
+"""Ordered vocabulary, triple storage, and KG membership.
 
 KG file format: UTF-8 text, one triple per line as three tab-separated
 tokens ``subject<TAB>verb<TAB>object``.  A line holding a single token
@@ -14,8 +14,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import LoadError, ShapeMismatch, utf8_text
-from .matrix import Matrix, check_budget, one_hot_state, tensor
+from .errors import LoadError, utf8_text
 from .semiring import Semiring
 
 #: Pronouns of the controlled language.
@@ -193,31 +192,6 @@ def load_kg(path) -> tuple[Vocabulary, KnowledgeGraph]:
     return vocab, KnowledgeGraph(spo)
 
 
-def _check_triple(t: Triple, vocab: Vocabulary) -> None:
-    if not (0 <= t.s < vocab.n_entities and 0 <= t.o < vocab.n_entities
-            and 0 <= t.v < vocab.n_relations):
-        raise ShapeMismatch(f"triple {t} out of range for vocabulary")
-
-
-def kg_effect(kg: KnowledgeGraph, vocab: Vocabulary, semiring: Semiring,
-              budget: int | None = None) -> Matrix:
-    """Dense membership effect |E| (x) |R| (x) |E| -> 1: a test oracle."""
-    ne, nr = vocab.n_entities, vocab.n_relations
-    check_budget(ne * nr * ne, budget)
-    ent = np.zeros((1, ne * nr * ne), dtype=semiring.dtype)
-    s, v, o = kg.spo.T
-    ent[0, (s * nr + v) * ne + o] = semiring.one
-    return Matrix(semiring, (ne, nr, ne), (), ent)
-
-
 def kg_contains(kg: KnowledgeGraph, t: Triple, semiring: Semiring):
     """Membership scalar via hash lookup, never materializing the effect."""
     return semiring.one if t in kg.triple_set else semiring.zero
-
-
-def triple_state(t: Triple, vocab: Vocabulary, semiring: Semiring) -> Matrix:
-    _check_triple(t, vocab)
-    ne, nr = vocab.n_entities, vocab.n_relations
-    return tensor(tensor(one_hot_state(t.s, ne, semiring),
-                         one_hot_state(t.v, nr, semiring)),
-                  one_hot_state(t.o, ne, semiring))

@@ -28,10 +28,9 @@ def prod(dims) -> int:
     return math.prod(dims)
 
 
-def check_budget(cells: int, budget: int | None = None) -> None:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if cells > budget:
-        raise BudgetExceeded(cells, budget)
+def check_budget(cells: int) -> None:
+    if cells > DEFAULT_BUDGET:
+        raise BudgetExceeded(cells, DEFAULT_BUDGET)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +143,12 @@ def one_hot_effect(i: int, n: int, semiring: Semiring = NONNEG_REAL) -> Matrix:
     return Matrix(semiring, (n,), (), ent)
 
 
-def spider(a: int, b: int, n: int, semiring: Semiring = NONNEG_REAL,
-           budget: int | None = None) -> Matrix:
+def spider(a: int, b: int, n: int, semiring: Semiring = NONNEG_REAL) -> Matrix:
     """The a-input, b-output Kronecker delta over dimension n."""
     if a < 0 or b < 0 or n < 1:
         raise ShapeMismatch(f"bad spider arity ({a}, {b}) over {n}")
     rows, cols = n ** b, n ** a
-    check_budget(rows * cols, budget)
+    check_budget(rows * cols)
     ent = np.zeros((rows, cols), dtype=semiring.dtype)
     for i in range(n):
         r = sum(i * n ** p for p in range(b))
@@ -159,14 +157,12 @@ def spider(a: int, b: int, n: int, semiring: Semiring = NONNEG_REAL,
     return Matrix(semiring, (n,) * a, (n,) * b, ent)
 
 
-def cup(n: int, semiring: Semiring = NONNEG_REAL,
-        budget: int | None = None) -> Matrix:
-    return spider(2, 0, n, semiring, budget)
+def cup(n: int, semiring: Semiring = NONNEG_REAL) -> Matrix:
+    return spider(2, 0, n, semiring)
 
 
-def cap(n: int, semiring: Semiring = NONNEG_REAL,
-        budget: int | None = None) -> Matrix:
-    return spider(0, 2, n, semiring, budget)
+def cap(n: int, semiring: Semiring = NONNEG_REAL) -> Matrix:
+    return spider(0, 2, n, semiring)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -185,8 +181,8 @@ def swap(m: int, n: int, semiring: Semiring = NONNEG_REAL) -> Matrix:
     return Matrix(semiring, (m, n), (n, m), ent)
 
 
-def wire_permutation(perm, dim: int, semiring: Semiring = NONNEG_REAL,
-                     budget: int | None = None) -> Matrix:
+def wire_permutation(perm, dim: int,
+                     semiring: Semiring = NONNEG_REAL) -> Matrix:
     """Permutation of k same-dimension wires (a composite of swaps).
 
     Output wire p carries input wire perm[p]: basis (x_0, ..., x_{k-1}) maps
@@ -194,7 +190,7 @@ def wire_permutation(perm, dim: int, semiring: Semiring = NONNEG_REAL,
     """
     k = len(perm)
     size = dim ** k
-    check_budget(size * size, budget)
+    check_budget(size * size)
     ent = np.zeros((size, size), dtype=semiring.dtype)
     for col in range(size):
         digits = []

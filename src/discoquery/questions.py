@@ -17,9 +17,9 @@ import numpy as np
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError
 from .kb import Vocabulary
-from .matrix import Matrix, cap, compose, cup, tensor, wire_permutation
+from .matrix import Matrix
 from .semantics import (AtomicSentence, NounPhrase, PronounNP, _Parser,
-                        contract, eval_sentence, noun_vector, parse_sentence,
+                        contract, eval_sentence, parse_sentence,
                         sentence_effect)
 
 
@@ -87,32 +87,10 @@ def question_effect(q: Question, enc: EncodingMatrix,
 
     Wire order for the two-variable form is (subject, object).  The object
     question is evaluated in its snake-rewritten direct form; the explicit
-    "does"-cap construction lives in :func:`object_whom_cap_form` and agrees
-    with it entrywise.  Raises DomainError (from ``Matrix``) on overflow.
+    "does"-cap construction, ``oracles.object_whom_cap_form``, agrees with
+    it entrywise.  Raises DomainError (from ``Matrix``) on overflow.
     """
     return sentence_effect(_sentence(q), enc, verbs)
-
-
-def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
-                         verbs: VerbMatrix) -> Matrix:
-    """Object question wired literally with the "does" cap.
-
-    Wires after tensoring who-E, cap, subject and verb states are
-    (A, B, C, D, F, G) with cup pairings (A, B), (D, F), (C, G); the cap
-    passes the answer wire across the subject into the verb's object slot.
-    Dense in n^6, used for cross-checks at small n.
-    """
-    sr = enc.semiring
-    n = enc.n
-    subj = noun_vector(q.subject, enc, verbs)
-    verb_state = Matrix(sr, (), (n, n),
-                        verbs.square(q.verb).reshape(-1, 1))
-    # |E| -> n^6, wire order A B C D F G
-    bottom = tensor(tensor(tensor(enc.matrix, cap(n, sr)), subj), verb_state)
-    # pair (A, B) off immediately, then reorder (C, D, F, G) to (C, G, D, F)
-    reorder = wire_permutation((0, 3, 1, 2), n, sr)
-    step = compose(bottom, tensor(cup(n, sr), reorder))
-    return compose(step, tensor(cup(n, sr), cup(n, sr)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -16,8 +16,7 @@ import numpy as np
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, LoadError, utf8_text
 from .kb import Vocabulary
-from .matrix import (check_budget, compose, identity, one_hot_state, prod,
-                     scalar_value, spider, tensor_all, wire_permutation)
+from .matrix import check_budget, prod
 from .semantics import Discourse, contract
 
 
@@ -49,9 +48,7 @@ class DrsConstraints:
 
 def default_constraints(k: int, vocab: Vocabulary) -> DrsConstraints:
     """Every slot its own class, all entities candidates: D(d) = E^k."""
-    all_entities = range(vocab.n_entities)
-    return DrsConstraints(tuple((s,) for s in range(k)),
-                          tuple(all_entities for _ in range(k)))
+    return make_constraints(k, vocab)
 
 
 def _blocks(n: int, groups) -> tuple[tuple[int, ...], ...]:
@@ -73,7 +70,7 @@ def _blocks(n: int, groups) -> tuple[tuple[int, ...], ...]:
     blocks: dict[int, list[int]] = {}
     for x in range(n):
         blocks.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(b) for b in blocks.values()))
+    return tuple(sorted(tuple(b) for _, b in blocks.items()))
 
 
 def make_constraints(k: int, vocab: Vocabulary, coref=(),
@@ -166,10 +163,9 @@ def resolution_scalar(d: Discourse, mu: MatchingFunction, enc: EncodingMatrix,
     """
     if len(mu) != d.k:
         raise GrammarError(f"matching of length {len(mu)} for k={d.k}")
-    e = enc.operands[1]
 
     def bound(pronoun):
-        return e[:, mu.assignment[pronoun.slot], None]
+        return enc.columns(mu.assignment[pronoun.slot])
 
     value = _product(d.sentences, enc, verbs, bound)
     enc.semiring.validate(value)
@@ -226,12 +222,7 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     """
     sr = enc.semiring
     _check_constraints(constraints, d.k)
-    # E[:, C] per class, of the encoding's operands, gathered once in C order
-    # like E (so BLAS sums alike); a class over every entity contracts on E.
-    e = enc.operands[1]
-    everyone = range(vocab.n_entities)
-    columns = [e if cands == everyone else np.take(e, cands, axis=1)
-               for cands in constraints.candidates]
+    columns = [enc.columns(cands) for cands in constraints.candidates]
     n_classes = len(constraints.classes)
     sentence_classes = [
         tuple(dict.fromkeys(constraints.slot_class[x] for x in s.slots()))
@@ -253,7 +244,7 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
             if len(cls) == 1 and len(s.slots()) == 2:
                 col = columns[cls[0]]
                 factor = enc.decode(sr.sum(sr.mul(col, sr.matmul(
-                    enc.verb_operands(verbs)[s.verb], col)), axis=0))
+                    enc.verb(verbs, s.verb), col)), axis=0))
             else:
                 factor = contract(s, enc, verbs, candidates)
                 if len(cls) == 2 and cls[0] > cls[1]:
@@ -281,84 +272,3 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     sr.validate(np.asarray(score))
     assignment = tuple(best[constraints.slot_class[s]] for s in range(d.k))
     return MatchingFunction(assignment), np.asarray(score).reshape(())[()]
-
-
-# ---------------------------------------------------------------------------
-# Structural evaluators for the entity-store factorization.
-
-def matching_process_eval(d: Discourse, mu: MatchingFunction,
-                          enc: EncodingMatrix, verbs: VerbMatrix):
-    """Evaluate the discourse through an explicit entity store and copy spiders.
-
-    Per entity referenced by i slots, a 1-input i-output spider copies the
-    stored state; each copy is recovered by discarding the other copy wires
-    and fed to its discourse wire.  Unreferenced entities are discarded with
-    the 1-input 0-output spider (each contributing the scalar 1).
-    """
-    if len(mu) != d.k:
-        raise GrammarError(f"matching of length {len(mu)} for k={d.k}")
-    sr = enc.semiring
-    ne = enc.vocab.n_entities
-    referencing: dict[int, list[int]] = {}
-    for slot, e in enumerate(mu.assignment):
-        referencing.setdefault(e, []).append(slot)
-
-    total = sr.one
-    slot_states: dict[int, np.ndarray] = {}
-    discard = spider(1, 0, ne, sr)
-    for e in range(ne):
-        store = one_hot_state(e, ne, sr)
-        slots = referencing.get(e, [])
-        if not slots:
-            total = sr.mul(total, scalar_value(compose(store, discard)))
-            continue
-        i = len(slots)
-        copied = compose(store, spider(1, i, ne, sr))
-        for w, slot in enumerate(slots):
-            keep = [identity(ne, sr) if j == w else discard for j in range(i)]
-            factor = compose(copied, tensor_all(keep, sr))
-            slot_states[slot] = factor.entries.reshape(-1)
-
-    emat = enc.matrix.entries
-
-    def stored(pronoun):
-        return sr.matmul(emat, slot_states[pronoun.slot][:, None])
-
-    return sr.mul(total, _product(d.sentences, enc, verbs, stored))[()]
-
-
-def dense_theorem_check(d: Discourse, mu: MatchingFunction,
-                        enc: EncodingMatrix, verbs: VerbMatrix,
-                        max_entities: int = 4):
-    """Sparse scalar vs. fully materialized store/process contraction.
-
-    The second component composes the dense entity store 1 -> |E|^|E|, the
-    matching-process incidence matrix (built from tensored copy/discard
-    spiders followed by an explicit wire permutation) and the dense
-    discourse effect.  Guarded to |E| <= max_entities.
-    """
-    from .semantics import discourse_effect
-    sr = enc.semiring
-    ne = enc.vocab.n_entities
-    if ne > max_entities:
-        raise GrammarError(
-            f"dense check limited to |E| <= {max_entities}, got {ne}")
-    sparse = resolution_scalar(d, mu, enc, verbs)
-
-    store = tensor_all([one_hot_state(e, ne, sr) for e in range(ne)], sr)
-    counts = [0] * ne
-    for e in mu.assignment:
-        counts[e] += 1
-    spiders = tensor_all([spider(1, counts[e], ne, sr) for e in range(ne)], sr)
-    # grouped wire order: per entity in vocabulary order, its slots ascending
-    grouped = [slot for e in range(ne)
-               for slot in sorted(s for s, a in enumerate(mu.assignment)
-                                  if a == e)]
-    if d.k:
-        perm = tuple(grouped.index(slot) for slot in range(d.k))
-        process = compose(spiders, wire_permutation(perm, ne, sr))
-    else:
-        process = spiders
-    dense = scalar_value(compose(compose(store, process),
-                                 discourse_effect(d, enc, verbs)))
-    return sparse, dense

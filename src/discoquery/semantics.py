@@ -20,7 +20,7 @@ import numpy as np
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, utf8_text
 from .kb import PRONOUNS, Vocabulary
-from .matrix import Matrix, check_budget
+from .matrix import Matrix
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,11 @@ def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
                 verbs: VerbMatrix) -> np.ndarray:
     sr = enc.semiring
     if isinstance(np_, EntityNP):
-        return enc.operands[1][:, np_.ordinal]
+        return enc.columns(np_.ordinal)[:, 0]
     if isinstance(np_, RestrictedNP):
         head = _noun_array(np_.head, enc, verbs)
         comp = _noun_array(np_.complement, enc, verbs)
-        square = enc.verb_operands(verbs)[np_.verb]
+        square = enc.verb(verbs, np_.verb)
         # contract the verb's object wire with the complement, then intersect
         return sr.mul(head, sr.matmul(square, comp[:, None])[:, 0])
     raise GrammarError(f"pronoun {np_.surface!r} in a closed noun phrase")
@@ -210,30 +210,24 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
     ``wire(pronoun)``: E itself by default, E[:, C] for a candidate class C,
     E[:, [e]] for a bound entity, or E . state for an entity-store state.
     The narrower side meets V first, the subject side on a tie.
-    Products run on the operands (ranks, for fuzzy), decoded once; a float
-    wire block is ranked in E's values merged with its own, for this call.
+    Products run in the encoding's operand form (ranks, for fuzzy), decoded
+    once.
     """
     sr = enc.semiring
-    values, e = enc.operands
 
     def side(np_):
         if isinstance(np_, PronounNP):
-            return e if wire is None else wire(np_)
+            return enc.columns(range(enc.vocab.n_entities)) if wire is None \
+                else wire(np_)
         return _noun_array(np_, enc, verbs)[:, None]
 
-    left, right = side(s.subject), side(s.object)
-    square = enc.verb_operands(verbs)[s.verb]
-    if values is not None and "f" in left.dtype.kind + right.dtype.kind:
-        ops = [b if b.dtype.kind == "f" else values.take(b)
-               for b in (left, right, square)]
-        values = np.union1d(values, np.append(ops[0], ops[1]))
-        values[0] = 0.0  # np.unique may keep a -0.0 for the zero
-        left, right, square = (values.searchsorted(b) for b in ops)
+    (left, right, square), decode = enc.ranked(
+        side(s.subject), side(s.object), enc.verb(verbs, s.verb))
     if left.shape[1] <= right.shape[1]:
         out = sr.matmul(sr.matmul(left.T, square), right)
     else:
         out = sr.matmul(left.T, sr.matmul(square, right))
-    return out if values is None else values.take(out)
+    return decode(out)
 
 
 def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,
@@ -241,21 +235,6 @@ def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,
     """Effect |E|^(a+b) -> 1 with wire order subject then object."""
     dom = (enc.vocab.n_entities,) * (s.a + s.b)
     return Matrix(enc.semiring, dom, (), contract(s, enc, verbs).reshape(1, -1))
-
-
-def discourse_effect(d: Discourse, enc: EncodingMatrix, verbs: VerbMatrix,
-                     budget: int | None = None) -> Matrix:
-    """Dense effect |E|^k -> 1: the tensor of the sentence effects."""
-    sr = enc.semiring
-    ne = enc.vocab.n_entities
-    check_budget(ne ** d.k, budget)
-    out = np.ones((1, 1), dtype=sr.dtype) * sr.one
-    dom: tuple[int, ...] = ()
-    for s in d.sentences:
-        eff = sentence_effect(s, enc, verbs)
-        out = sr.mul(out[:, :, None], eff.entries[:, None, :]).reshape(1, -1)
-        dom = dom + eff.dom
-    return Matrix(sr, dom, (), out)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -82,8 +82,7 @@ def _clause_patterns(np_: NounPhrase) -> list[Pattern]:
     return out
 
 
-def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None,
-                      vocab: Vocabulary | None = None
+def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None
                       ) -> tuple[BasicGraphPattern, QueryForm]:
     """One pattern per sentence plus one per relative clause.
 
@@ -92,8 +91,6 @@ def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None,
     to ASK, anything else to SELECT *.
     """
     if constraints is None:
-        if d.k and vocab is None:
-            raise GrammarError("vocabulary needed for default constraints")
         slot_class = {s: s for s in range(d.k)}  # every slot its own class
     else:
         slot_class = constraints.slot_class

@@ -47,7 +47,7 @@ def random_matrix(rng, dom, cod, sr):
 
 def random_encoding(vocab, n, sr, rng):
     ent = random_entries(rng, (n, vocab.n_entities), sr)
-    return EncodingMatrix(Matrix(sr, (vocab.n_entities,), (n,), ent), vocab)
+    return EncodingMatrix(sr, ent, vocab)
 
 
 def random_kg(rng, n_entities, n_relations, density=0.3):

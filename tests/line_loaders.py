@@ -10,7 +10,6 @@ import numpy as np
 from discoquery.encoding import EncodingMatrix
 from discoquery.errors import LoadError, utf8_text
 from discoquery.kb import RESERVED, Triple, Vocabulary
-from discoquery.matrix import Matrix
 
 
 def load_kg_lines(path):
@@ -94,5 +93,4 @@ def load_embeddings_lines(path, vocab, semiring):
     if n is None or n < 1:
         raise LoadError(path, 0, "no embedding rows")
     ent = np.stack([rows[e] for e in vocab.entities], axis=1)
-    return EncodingMatrix(
-        Matrix(semiring, (vocab.n_entities,), (n,), ent), vocab)
+    return EncodingMatrix(semiring, ent, vocab)

@@ -229,6 +229,21 @@ def test_exit_3_past_each_budget_check(capsys, tmp_path, monkeypatch):
             assert code == want, (budget, extra)
 
 
+@pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])
+def test_exit_2_on_empty_vocabulary(capsys, tmp_path, semiring):
+    """A KG with no entities loads; each command then fails on its unknown
+    token with one error line, not a traceback."""
+    kg = tmp_path / "empty.kg"
+    kg.write_text("# no entities\n")
+    for argv in (["ask", "a r b ."], ["rank", "who r b ?"],
+                 ["resolve", "he r him ."], ["emit-sparql", "he r him ."],
+                 ["similarity", "a", "b"]):
+        code, out, err = run(capsys, [argv[0], "--kg", str(kg), "--semiring",
+                                      semiring, *argv[1:]])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: unknown") and err.count("\n") == 1
+
+
 def test_emit_sparql_needs_vocabulary_only(capsys, tmp_path):
     """A KG too large for the identity verb matrix still compiles."""
     big = tmp_path / "big.kg"

@@ -12,7 +12,6 @@ from discoquery import matrix as matrix_mod
 from discoquery.errors import (BudgetExceeded, LoadError, SemiringMismatch,
                                VerbOverflow)
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
-from discoquery.matrix import Matrix
 from discoquery.encoding import EncodingMatrix
 from discoquery.semiring import Semiring
 
@@ -42,7 +41,7 @@ def test_similarity_reads_only_its_columns():
     """An overflowing inner product of other columns does not matter."""
     vocab = Vocabulary.from_lists(["a", "b", "c"], ["r"])
     ent = np.array([[1e200, 1.0, 1e200], [0.0, 0.0, 1.0]])
-    enc = EncodingMatrix(Matrix(NONNEG_REAL, (3,), (2,), ent), vocab)
+    enc = EncodingMatrix(NONNEG_REAL, ent, vocab)
     assert similarity(enc, 1, 2) == 1e200
 
 
@@ -143,7 +142,7 @@ def selection_encoding(vocab, sr):
     ent = np.zeros((2, vocab.n_entities))
     ent[1, 0], ent[1, 2] = 0.5, 0.25
     ent[0, 3:] = np.linspace(1.0, 0.125, vocab.n_entities - 3)
-    return EncodingMatrix(Matrix(sr, (vocab.n_entities,), (2,), ent), vocab)
+    return EncodingMatrix(sr, ent, vocab)
 
 
 @pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
@@ -207,7 +206,7 @@ def test_fuzzy_verb_build_on_ranks_exact(monkeypatch):
                                  for s, v, o in zip(rng.integers(0, ne, 60),
                                                     rng.integers(0, 2, 60),
                                                     rng.integers(0, ne, 60))])
-            enc = EncodingMatrix(Matrix(spied, (ne,), (n,), ent), vocab)
+            enc = EncodingMatrix(spied, ent, vocab)
             kinds.clear()
             verbs = build_verb_matrix(enc, kg)
             distinct = len(np.unique(np.append(ent, 0.0)))
@@ -232,7 +231,7 @@ def test_fuzzy_rank_width_boundary(positive):
     top = int(np.argmax(ent[1]))
     kg = KnowledgeGraph([Triple(top, 0, top), Triple(0, 0, ne - 1),
                          Triple(ne - 1, 0, 1)])
-    enc = EncodingMatrix(Matrix(FUZZY, (ne,), (2,), ent), vocab)
+    enc = EncodingMatrix(FUZZY, ent, vocab)
     _, ranks = encoding_mod._ranks(ent)
     assert ranks.dtype == (np.uint16 if positive < 1 << 16 else np.uint32)
     assert ranks.max() == positive
@@ -252,7 +251,7 @@ def test_verb_blocks_contiguous_read_only(sr):
         verbs = build_verb_matrix(enc, kg)
         assert verbs.blocks.shape == (3, enc.n, enc.n)
         for v in range(3):
-            square = verbs.square(v)
+            square = verbs.blocks[v]
             assert square.shape == (enc.n, enc.n)
             assert square.flags.c_contiguous
             assert not square.flags.writeable
@@ -266,8 +265,7 @@ def test_verb_matrix_overflow():
     kg = KnowledgeGraph([Triple(0, 0, 1), Triple(0, 1, 0), Triple(1, 1, 1)])
     for ent in ([[1e200, 0.0], [0.0, 1e200]],
                 [[1e200, 1.0], [1.0, 1e200]]):
-        enc = EncodingMatrix(
-            Matrix(NONNEG_REAL, (2,), (2,), np.array(ent)), vocab)
+        enc = EncodingMatrix(NONNEG_REAL, np.array(ent), vocab)
         with pytest.raises(VerbOverflow, match="'r'"):
             build_verb_matrix(enc, kg)
 
@@ -284,16 +282,15 @@ def test_verb_column_mass_counts_triples():
 def test_normalize_l1():
     vocab = Vocabulary.from_lists(["a", "b"], ["r"])
     ent = np.array([[2.0, 0.0], [2.0, 0.0]])
-    enc = EncodingMatrix(Matrix(NONNEG_REAL, (2,), (2,), ent), vocab)
+    enc = EncodingMatrix(NONNEG_REAL, ent, vocab)
     with pytest.warns(UserWarning, match="zero embedding columns"):
         normed = normalize_l1(enc)
     assert normed.column(0).tolist() == [0.5, 0.5]
     assert normed.column(1).tolist() == [0.0, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        again = normalize_l1(
-            EncodingMatrix(Matrix(NONNEG_REAL, (2,), (2,),
-                                  np.array([[0.5, 1.0], [0.5, 0.0]])), vocab))
+        again = normalize_l1(EncodingMatrix(
+            NONNEG_REAL, np.array([[0.5, 1.0], [0.5, 0.0]]), vocab))
     assert np.array_equal(
         again.matrix.entries, np.array([[0.5, 1.0], [0.5, 0.0]]))
     for sr in (BOOLEAN, FUZZY):
@@ -319,7 +316,7 @@ def test_normalize_l1_matches_column_loop():
                 zero_cols.append(vocab.entities[e])
             else:
                 want[:, e] = ent[:, e] / mass
-        enc = EncodingMatrix(Matrix(NONNEG_REAL, (ne,), (n,), ent), vocab)
+        enc = EncodingMatrix(NONNEG_REAL, ent, vocab)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             normed = normalize_l1(enc)

@@ -4,6 +4,7 @@ import pytest
 
 from discoquery import (BOOLEAN, NONNEG_REAL, Triple, compose, kg_contains,
                         kg_effect, load_kg, scalar_value, triple_state)
+from discoquery import matrix as matrix_mod
 from discoquery.errors import BudgetExceeded, LoadError
 from discoquery.kb import KnowledgeGraph, Vocabulary
 
@@ -95,10 +96,11 @@ def test_kg_effect_nonzero_count(philosophers):
     assert int(eff.entries.sum()) == 3
 
 
-def test_kg_effect_budget():
+def test_kg_effect_budget(monkeypatch):
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 50)
     vocab = Vocabulary.from_lists([f"e{i}" for i in range(10)], ["r"])
     with pytest.raises(BudgetExceeded):
-        kg_effect(KnowledgeGraph([]), vocab, NONNEG_REAL, budget=50)
+        kg_effect(KnowledgeGraph([]), vocab, NONNEG_REAL)
 
 
 def test_kg_contains(philosophers):

@@ -5,16 +5,16 @@ duplicate triples and entity declarations, and most carry one injected
 fault.  Both loaders must give the same vocabulary, triples and encoding,
 or the same LoadError line and message.
 """
+import importlib
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from discoquery import (ALL_SEMIRINGS, BOOLEAN, ask, build_verb_matrix,
-                        default_constraints, identity_encoding,
-                        load_embeddings, load_kg, parse_discourse,
-                        parse_question, rank_answers, resolve_argmax)
-from discoquery.encoding import VerbMatrix
+                        identity_encoding, load_embeddings, load_kg)
+from discoquery.cli import main
+from discoquery.encoding import EncodingMatrix, VerbMatrix
 from discoquery.errors import LoadError
 from discoquery.kb import RESERVED, KnowledgeGraph
 from discoquery.matrix import Matrix
@@ -200,10 +200,15 @@ def test_setup_builds_no_view():
     assert not views & kg.__dict__.keys()
 
 
-def test_queries_build_no_verb_matrix(monkeypatch):
-    """Set-up builds no Matrix beyond the encoding, and ask, rank and
-    resolve never build the Matrix view of the verbs."""
-    vocab, kg = load_kg(DATA / "philosophers.kg")
+def test_queries_build_no_verb_matrix(monkeypatch, capsys, tmp_path):
+    """Set-up, identity or embedded, builds no Matrix, and ask, rank,
+    resolve, resolve --all and similarity build none and never read the
+    Matrix view of the encoding or of the verbs, in every semiring."""
+    kg = str(DATA / "philosophers.kg")
+    vocab, _ = load_kg(kg)
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("".join(f"{e}\t0.{i},0.5\n"
+                           for i, e in enumerate(vocab.entities)))
     built = []
     post_init = Matrix.__post_init__
 
@@ -212,24 +217,37 @@ def test_queries_build_no_verb_matrix(monkeypatch):
         post_init(self)
 
     def forbidden(self):
-        raise AssertionError("VerbMatrix.matrix built on a query path")
+        raise AssertionError(f"{type(self).__name__}.matrix read by a query")
 
     monkeypatch.setattr(Matrix, "__post_init__", counting)
-    monkeypatch.setattr(VerbMatrix, "matrix", property(forbidden))
-    for sr in ALL_SEMIRINGS:
-        built.clear()
-        enc = identity_encoding(vocab, sr)
-        verbs = build_verb_matrix(enc, kg)
-        assert built == [((vocab.n_entities,), (vocab.n_entities,))]
-        assert ask("spinoza influenced leibniz .", enc, verbs, vocab)
-        ranked = rank_answers(parse_question("who discovered calculus ?",
-                                             vocab), enc, verbs, vocab)
-        assert vocab.entities[ranked[0][0]] == "leibniz"
-        d = parse_discourse("spinoza influenced him . he discovered it .",
-                            vocab)
-        mu, _ = resolve_argmax(d, default_constraints(d.k, vocab), enc, verbs,
-                               vocab)
-        assert vocab.entities[mu.assignment[0]] == "leibniz"
+    for cls in (EncodingMatrix, VerbMatrix):
+        monkeypatch.setattr(cls, "matrix", property(forbidden))
+    spinoza = "spinoza influenced him . he discovered it ."
+    for sr in ("boolean", "real", "fuzzy"):
+        for encode in ([], ["--embeddings", str(emb)]):
+            for argv in (["ask", "spinoza influenced leibniz ."],
+                         ["rank", "who discovered calculus ?"],
+                         ["resolve", spinoza], ["resolve", "--all", spinoza],
+                         ["similarity", "leibniz", "newton"]):
+                code = main([argv[0], "--kg", kg, "--semiring", sr, *encode,
+                             *argv[1:]])
+                assert code == 0, (sr, encode, argv, capsys.readouterr().err)
+                assert capsys.readouterr().out
+    assert built == []
+
+
+def test_query_modules_bind_no_generator_or_oracle():
+    """The dense generators stay in matrix and the oracles in oracles: no
+    module on the query path binds one."""
+    from discoquery import oracles
+    dense = {"spider", "cup", "cap", "wire_permutation", "tensor_all"} | {
+        name for name, f in vars(oracles).items()
+        if getattr(f, "__module__", None) == oracles.__name__}
+    assert {"kg_effect", "discourse_effect", "dense_theorem_check"} <= dense
+    for name in ("kb", "encoding", "semantics", "questions", "resolution",
+                 "sparql", "cli"):
+        module = importlib.import_module(f"discoquery.{name}")
+        assert not dense & vars(module).keys(), name
 
 
 @pytest.mark.parametrize("text, line", [

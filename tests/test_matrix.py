@@ -5,6 +5,7 @@ import pytest
 from discoquery import (BOOLEAN, NONNEG_REAL, Matrix, add, cap, compose, cup,
                         identity, one_hot_effect, one_hot_state, scalar,
                         scalar_value, spider, swap, tensor, transpose)
+from discoquery import matrix as matrix_mod
 from discoquery.errors import BudgetExceeded, SemiringMismatch, ShapeMismatch
 from discoquery.matrix import wire_permutation
 
@@ -89,9 +90,10 @@ def test_spider_special_cases(sr):
     assert not mixed.entries.any()
 
 
-def test_spider_budget():
+def test_spider_budget(monkeypatch):
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded) as exc:
-        spider(2, 2, 10, NONNEG_REAL, budget=100)
+        spider(2, 2, 10, NONNEG_REAL)
     assert exc.value.required == 10_000
 
 

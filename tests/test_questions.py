@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, EncodingMatrix, Matrix,
+from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, EncodingMatrix,
                         Triple, ask, build_verb_matrix, kg_contains,
                         object_whom_cap_form, parse_question,
                         question_effect, rank_answers)
@@ -152,7 +152,7 @@ def test_rank_answers_matches_key_sort(sr):
             row = rng.choice([0.0, 0.125, 0.5, 1.0], 300,
                              p=[0.7, 0.1, 0.1, 0.1])
         row[0] = sr.one
-        enc = EncodingMatrix(Matrix(sr, (300,), (1,), row[None, :]), vocab)
+        enc = EncodingMatrix(sr, row[None, :], vocab)
         verbs = build_verb_matrix(enc, kg)
         s = question_effect(q, enc, verbs).entries.reshape(-1)
         assert np.array_equal(s, row)

@@ -3,7 +3,7 @@ same bytes as float max-min oracles, and no float operand in any product."""
 import numpy as np
 import pytest
 
-from discoquery import (FUZZY, EncodingMatrix, Matrix, build_verb_matrix,
+from discoquery import (FUZZY, EncodingMatrix, build_verb_matrix,
                         enumerate_matchings, load_embeddings, load_kg,
                         make_constraints, parse_discourse, parse_question,
                         parse_sentence, rank_answers, resolution_scalar,
@@ -84,7 +84,7 @@ def setup(rng, n, ne, levels):
                           rng.integers(0, ne, (60, 3))]) % [ne, 2, ne]
     kg = KnowledgeGraph([Triple(*t) for t in spo.tolist()])
     ent = fuzzy_entries(rng, n, ne, levels)
-    enc = EncodingMatrix(Matrix(FUZZY, (ne,), (n,), ent), vocab)
+    enc = EncodingMatrix(FUZZY, ent, vocab)
     return vocab, kg, ent, enc, build_verb_matrix(enc, kg), \
         Oracle(ent, kg, 2)
 
@@ -231,8 +231,8 @@ def test_verbs_of_another_value_table_raise():
     use them; one with other values raises instead of misreading them."""
     rng = np.random.default_rng(29)
     vocab, kg, ent, enc, verbs, oracle = setup(rng, 3, 30, 10)
-    again = EncodingMatrix(Matrix(FUZZY, (30,), (3,), ent.copy()), vocab)
-    other = EncodingMatrix(Matrix(FUZZY, (30,), (3,), ent / 2), vocab)
+    again = EncodingMatrix(FUZZY, ent.copy(), vocab)
+    other = EncodingMatrix(FUZZY, ent / 2, vocab)
     st = parse_sentence("he r0 e1 that r1 e2 .", vocab)
     d = parse_discourse("he r0 him .", vocab)
     cons = make_constraints(d.k, vocab, [(0, 1)])

@@ -6,6 +6,7 @@ from discoquery import (BOOLEAN, NONNEG_REAL, Triple, build_verb_matrix,
                         discourse_effect, eval_sentence, kg_contains, load_kg,
                         noun_vector, parse_discourse, parse_sentence,
                         sentence_effect)
+from discoquery import matrix as matrix_mod
 from discoquery import semiring as semiring_mod
 from discoquery.errors import BudgetExceeded, GrammarError, LoadError
 from discoquery.semantics import (EntityNP, PronounNP, RestrictedNP,
@@ -174,9 +175,9 @@ def contraction_oracle_relative(enc, verbs, subj, verb, head, clause_verb,
     sr = enc.semiring
     n = enc.n
     sv = enc.column(subj)
-    V = verbs.square(verb)
+    V = verbs.blocks[verb]
     hv = enc.column(head)
-    W = verbs.square(clause_verb)
+    W = verbs.blocks[clause_verb]
     cv = enc.column(comp)
     acc = sr.zero
     for i in range(n):
@@ -254,7 +255,7 @@ def test_contract_against_naive_oracle(sr, monkeypatch):
                 for ks in blocks if st.a else [None]:
                     for ko in blocks if st.b else [None]:
                         want = naive_contract(
-                            sr, side(st.subject, ks), verbs.square(st.verb),
+                            sr, side(st.subject, ks), verbs.blocks[st.verb],
                             side(st.object, ko))
                         kinds = [ks, ko] if st.a else [ko]
                         wire = None if ks is ko is None else (
@@ -337,13 +338,14 @@ def test_relative_clause_intersection_bound(alice_kg):
     assert np.all(restricted.entries <= head.entries)
 
 
-def test_discourse_budget(philosophers):
+def test_discourse_budget(philosophers, monkeypatch):
     vocab, kg = philosophers
     enc, verbs = identity_setup(vocab, kg, NONNEG_REAL)
     d = parse_discourse("spinoza influenced him . he discovered calculus .",
                         vocab)
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        discourse_effect(d, enc, verbs, budget=10)
+        discourse_effect(d, enc, verbs)
 
 
 def test_eval_sentence_rejects_pronouns(philosophers):

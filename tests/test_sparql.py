@@ -24,7 +24,7 @@ def test_compile_plain_discourse_is_ask(philosophers):
 def test_compile_unconstrained_discourse(philosophers):
     vocab, _ = philosophers
     d = parse_discourse(SPINOZA, vocab)
-    bgp, form = compile_discourse(d, vocab=vocab)
+    bgp, form = compile_discourse(d)
     assert form == SelectAll()
     assert bgp.patterns == (
         (EntityTerm(vocab.entity_index["spinoza"]),
@@ -42,13 +42,6 @@ def test_compile_coreferent_discourse(philosophers):
     assert bgp.patterns[0][2] == VarTerm(0)
     assert bgp.patterns[1][0] == VarTerm(0)
     assert bgp.variables() == (0,)
-
-
-def test_compile_discourse_needs_vocab_when_anaphoric(philosophers):
-    vocab, _ = philosophers
-    d = parse_discourse(SPINOZA, vocab)
-    with pytest.raises(GrammarError, match="vocabulary"):
-        compile_discourse(d)
 
 
 def test_compile_relative_clause_as_extra_pattern(alice_kg):
@@ -149,7 +142,7 @@ def test_evaluate_coreferent_single_row(philosophers):
 def test_evaluate_unconstrained_two_rows(philosophers):
     vocab, kg = philosophers
     d = parse_discourse(SPINOZA, vocab)
-    bgp, form = compile_discourse(d, vocab=vocab)
+    bgp, form = compile_discourse(d)
     leib = vocab.entity_index["leibniz"]
     newt = vocab.entity_index["newton"]
     assert evaluate_bgp(bgp, form, kg) == sorted([(leib, leib), (leib, newt)])
