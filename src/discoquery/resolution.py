@@ -8,6 +8,7 @@ per-class candidate entity sets.  Constraints file format: lines
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, LoadError, utf8_text
 from .kb import Vocabulary
 from .matrix import check_budget, prod
-from .semantics import Discourse, contract
+from .semantics import Discourse, contract, contract_operands
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,12 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     pronoun-free sentences and M_c the largest entry of table c.  Component
     c takes the first entry (in C order, which is enumeration order) with
     table (x) rest_c == M_c (x) rest_c, where rest_c is closed times the
-    other components' maxima.  That is the entries equal to M_c for boolean
-    and reals, the entries at least the score for fuzzy min, and every
-    entry, hence each class's first candidate, when the score is zero:
-    exactly the enumeration-order tie-break of the whole search.
+    other components' maxima (table == M_c if there are none).  That is the
+    entries equal to M_c for boolean and reals, the entries at least the
+    score for fuzzy min, and every entry, hence each class's first
+    candidate, when the score is zero: exactly the enumeration-order
+    tie-break of the whole search.  All of it runs in the operand form, and
+    the score alone is decoded: the decode is strictly increasing.
 
     Raises BudgetExceeded if a component table exceeds the budget, and
     DomainError if the score overflows (an inf entry, or the nan of inf
@@ -222,53 +225,47 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     """
     sr = enc.semiring
     _check_constraints(constraints, d.k)
-    columns = [enc.columns(cands) for cands in constraints.candidates]
-    n_classes = len(constraints.classes)
-    sentence_classes = [
-        tuple(dict.fromkeys(constraints.slot_class[x] for x in s.slots()))
-        for s in d.sentences]
-
-    closed = _product([s for s, cls in zip(d.sentences, sentence_classes)
-                       if not cls], enc, verbs)
+    slot_class = constraints.slot_class
+    cands = constraints.candidates
+    columns = [enc.columns(c) for c in cands]
 
     def candidates(pronoun):
-        return columns[constraints.slot_class[pronoun.slot]]
+        return columns[slot_class[pronoun.slot]]
+
+    factors = []
+    for s in d.sentences:
+        cls = [slot_class[x] for x in s.slots()]
+        if len(cls) == 2 and cls[0] == cls[1]:
+            col = columns[cls.pop()]
+            factor = sr.sum(sr.mul(col, sr.matmul(enc.verb(verbs, s.verb),
+                                                  col)), axis=0)
+        else:
+            factor = contract_operands(s, enc, verbs, candidates)[0]
+            if len(cls) == 2 and cls[0] > cls[1]:
+                factor = factor.T
+        factors.append((cls, factor))
+    closed = [factor.reshape(()) for cls, factor in factors if not cls]
 
     tables = []
-    for comp in _blocks(n_classes, sentence_classes):
-        check_budget(prod(len(constraints.candidates[c]) for c in comp))
-        table = sr.one
-        for s, cls in zip(d.sentences, sentence_classes):
-            if not cls or cls[0] not in comp:
-                continue
-            if len(cls) == 1 and len(s.slots()) == 2:
-                col = columns[cls[0]]
-                factor = enc.decode(sr.sum(sr.mul(col, sr.matmul(
-                    enc.verb(verbs, s.verb), col)), axis=0))
-            else:
-                factor = contract(s, enc, verbs, candidates)
-                if len(cls) == 2 and cls[0] > cls[1]:
-                    factor = factor.T
-            shape = [len(constraints.candidates[c]) if c in cls else 1
-                     for c in comp]
-            table = sr.mul(table, factor.reshape(shape))
-        tables.append((comp, table))
+    for comp in _blocks(len(cands), [cls for cls, _ in factors]):
+        check_budget(prod(len(cands[c]) for c in comp))
+        tables.append((comp, reduce(sr.mul, [
+            factor.reshape([len(cands[c]) if c in cls else 1 for c in comp])
+            for cls, factor in factors if cls and cls[0] in comp])))
 
     maxima = [table.max() for _, table in tables]
-    best = [0] * n_classes
+    best = [0] * len(cands)
     for i, (comp, table) in enumerate(tables):
-        rest = closed
-        for j, m in enumerate(maxima):
-            if j != i:
-                rest = sr.mul(rest, m)
-        hit = sr.mul(table, rest) == sr.mul(maxima[i], rest)
-        pos = np.unravel_index(int(np.argmax(hit)), table.shape)
-        for c, p in zip(comp, pos):
-            best[c] = constraints.candidates[c][p]
+        rest = closed + maxima[:i] + maxima[i + 1:]
+        if rest:
+            rest = reduce(sr.mul, rest)
+            table = sr.mul(table, rest) == sr.mul(maxima[i], rest)
+        pos = int(table.argmax())
+        for c in reversed(comp):
+            pos, p = divmod(pos, len(cands[c]))
+            best[c] = cands[c][p]
 
-    score = closed
-    for m in maxima:
-        score = sr.mul(score, m)
-    sr.validate(np.asarray(score))
-    assignment = tuple(best[constraints.slot_class[s]] for s in range(d.k))
-    return MatchingFunction(assignment), np.asarray(score).reshape(())[()]
+    score = np.asarray(enc.decode(reduce(sr.mul, closed + maxima)))
+    sr.validate(score)
+    assignment = tuple(best[slot_class[s]] for s in range(d.k))
+    return MatchingFunction(assignment), score[()]

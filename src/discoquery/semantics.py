@@ -213,6 +213,13 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
     Products run in the encoding's operand form (ranks, for fuzzy), decoded
     once.
     """
+    out, decode = contract_operands(s, enc, verbs, wire)
+    return decode(out)
+
+
+def contract_operands(s: AtomicSentence, enc: EncodingMatrix,
+                      verbs: VerbMatrix, wire=None):
+    """``contract``'s product in the operand form, and its decode."""
     sr = enc.semiring
 
     def side(np_):
@@ -227,7 +234,7 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
         out = sr.matmul(sr.matmul(left.T, square), right)
     else:
         out = sr.matmul(left.T, sr.matmul(square, right))
-    return decode(out)
+    return out, decode
 
 
 def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,

@@ -153,7 +153,11 @@ def brute_force_argmax(scored):
 
 @pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY])
 def test_argmax_matches_brute_force_random(sr):
-    """Same matching and score as enumeration, ties included."""
+    """Same matching and score as enumeration, ties included: 10 trials at
+    |E| = 4, n = 3, then 6 at |E| 40-60, n 8-40 with 2-5 candidates per
+    class, where products have many rows and columns (the F-ordered left
+    operand) and fuzzy tables hold ranks.  Boolean and fuzzy scores are
+    bit-exact; real ones may differ by reassociation."""
     rng = np.random.default_rng(29)
     texts = [
         "e0 r0 him . he r1 e1 .",
@@ -163,17 +167,27 @@ def test_argmax_matches_brute_force_random(sr):
         "he r0 him . she r1 e0 . e1 r0 her .",
         "he r0 him . him r1 she . she r0 e1 .",
     ]
-    for trial in range(10):
-        vocab, kg = random_kg(rng, 4, 2, density=(0.1, 0.3)[trial % 2])
-        enc = random_encoding(vocab, 3, sr, rng)
+    for trial in range(16):
+        large = trial >= 10
+        ne, n = (rng.integers(40, 61), rng.integers(8, 41)) if large \
+            else (4, 3)
+        vocab, kg = random_kg(rng, ne, 2, density=(0.1, 0.3)[trial % 2])
+        enc = random_encoding(vocab, n, sr, rng)
         verbs = build_verb_matrix(enc, kg)
         for text in texts:
             d = parse_discourse(text, vocab)
             corefs = [[], [(0, 1)]] + ([[(0, 2)], [(1, 2)]] if d.k > 2 else [])
             coref = corefs[trial % len(corefs)]
-            candidates = {
-                s: rng.choice(4, rng.integers(1, 4), replace=False).tolist()
-                for s in range(d.k) if rng.random() < 0.4}
+            if large:
+                classes = make_constraints(d.k, vocab, coref=coref).classes
+                candidates = {
+                    c[0]: rng.choice(ne, rng.integers(2, 6),
+                                     replace=False).tolist()
+                    for c in classes}
+            else:
+                candidates = {
+                    s: rng.choice(4, rng.integers(1, 4), replace=False).tolist()
+                    for s in range(d.k) if rng.random() < 0.4}
             cons = make_constraints(d.k, vocab, coref=coref,
                                     candidates=candidates)
             if not all(cons.candidates):
@@ -183,6 +197,9 @@ def test_argmax_matches_brute_force_random(sr):
             got_mu, got_s = resolve_argmax(d, cons, enc, verbs, vocab)
             assert got_mu == want_mu, (text, coref, candidates)
             assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
+            if sr is not NONNEG_REAL:
+                assert type(got_s) is type(want_s)
+                assert float(got_s).hex() == float(want_s).hex()
             assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
                 pytest.approx(float(want_s), rel=1e-9)
             # Every candidate set spelled out as a tuple takes the gather

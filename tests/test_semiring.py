@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from discoquery import BOOLEAN, FUZZY, NONNEG_REAL, Semiring, by_name
 from discoquery import semiring as semiring_mod
-from discoquery.errors import SemiringMismatch
+from discoquery.errors import DomainError, SemiringMismatch
 from discoquery.semiring import require_same
 
 from conftest import SEMIRINGS, random_entries
@@ -155,6 +155,84 @@ def test_transposed_left_operand_same_bytes(dtype, monkeypatch):
             assert got.tobytes() == want.tobytes()
             if m * k <= 200:
                 assert np.array_equal(got, naive_matmul(sr, e.T, col))
+
+
+def _layouts(x):
+    """x as C-ordered, F-ordered, column-sliced, transposed, and transposed
+    then column-sliced arrays: the same values in five memory layouts."""
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+            "sliced": np.repeat(x, 2, axis=1)[:, ::2],
+            "transposed": np.ascontiguousarray(x.T).T,
+            "transposed-sliced": np.repeat(x.T, 2, axis=1)[:, ::2].T}
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint16, np.uint32, np.float64],
+                         ids=lambda d: np.dtype(d).name)
+def test_matmul_operand_layouts_same_bytes(dtype, monkeypatch):
+    """Any layout of either operand gives the bytes of the product on
+    C-contiguous copies, and the naive product: one or many rows and
+    columns, unblocked and blocked; boolean, fuzzy, fuzzy on ranks."""
+    sr = BOOLEAN if dtype is bool else FUZZY
+    rng = np.random.default_rng(17)
+
+    def draw(shape):
+        if np.dtype(dtype).kind == "u":
+            top = np.iinfo(dtype).max
+            return rng.integers(0, top, shape, dtype=dtype, endpoint=True)
+        return random_entries(rng, shape, sr)
+
+    for chunk in (semiring_mod._CHUNK, 8):
+        monkeypatch.setattr(semiring_mod, "_CHUNK", chunk)
+        for m, k, n in [(1, 5, 1), (1, 5, 4), (4, 5, 1), (4, 5, 4),
+                        (6, 1, 5), (3, 7, 9), (9, 7, 3)]:
+            a, b = draw((m, k)), draw((k, n))
+            want = sr.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            assert want.dtype == dtype and want.shape == (m, n)
+            assert np.array_equal(want, naive_matmul(sr, a, b))
+            for la, left in _layouts(a).items():
+                for lb, right in _layouts(b).items():
+                    got = sr.matmul(left, right)
+                    assert got.dtype == dtype, (la, lb, m, k, n)
+                    assert got.tobytes() == want.tobytes(), (la, lb, m, k, n)
+
+
+@pytest.mark.parametrize("sr", [NONNEG_REAL, FUZZY], ids=lambda s: s.name)
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=str)
+def test_validate_keeps_errors(sr, shape):
+    """The one-pass range test raises today's DomainError messages, with
+    the non-finite check first, on 0-d and n-d arrays."""
+    non_finite = f"non-finite entry in {sr.name} array"
+    negative = f"negative entry in {sr.name} array"
+    cases = [(np.nan, non_finite), (np.inf, non_finite),
+             (-np.inf, non_finite), (-0.5, negative),
+             (-np.finfo(np.float64).tiny, negative)]
+    if sr is FUZZY:
+        cases.append((1.0 + 2 ** -52, "fuzzy entry outside [0, 1]"))
+    for bad, message in cases:
+        arr = np.full(shape, 0.5)
+        arr[(0,) * len(shape)] = bad
+        with pytest.raises(DomainError) as exc:
+            sr.validate(arr)
+        assert str(exc.value) == message, (bad, shape)
+    if shape:
+        # the non-finite check comes first, whichever entry comes first
+        for first in (-1.0, 2.0):
+            arr = np.full(shape, first)
+            arr[(-1,) * len(shape)] = np.nan
+            with pytest.raises(DomainError, match="non-finite"):
+                sr.validate(arr)
+        if sr is FUZZY:
+            arr = np.full(shape, 2.0)
+            arr[(-1,) * len(shape)] = -1.0
+            with pytest.raises(DomainError, match="negative"):
+                sr.validate(arr)
+    for good in (-0.0, 0.0, 1.0):
+        sr.validate(np.full(shape, good))
+    sr.validate(np.float64(0.25))
+    sr.validate(np.empty((0,) + shape))
+    if sr is NONNEG_REAL:
+        sr.validate(np.full(shape, np.finfo(np.float64).max))
+    assert BOOLEAN.validate(np.full(shape, np.nan)) is None
 
 
 def test_validation():
