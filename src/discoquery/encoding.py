@@ -27,7 +27,7 @@ _GATHER = 1 << 18
 class EncodingMatrix:
     """Map |E| -> n sending each one-hot entity to its noun-space vector.
     ``entries`` is a read-only (n, |E|) view of the array given, validated
-    once; queries use ``columns``, ``verb``, ``ranked`` and ``decode``."""
+    once; queries use ``columns``, ``verb`` and ``decode``."""
     semiring: Semiring
     entries: np.ndarray = field(repr=False)
     vocab: Vocabulary
@@ -82,21 +82,6 @@ class EncodingMatrix:
     def decode(self, arr: np.ndarray) -> np.ndarray:
         """Values of an array in the operand form."""
         return arr if self.operands[0] is None else self.operands[0].take(arr)
-
-    def ranked(self, left: np.ndarray, right: np.ndarray,
-               square: np.ndarray):
-        """Two wire blocks and a verb block in one operand form, and the
-        decode of their products.  For fuzzy, a float wire block (E . state,
-        a foreign column) is ranked with the rest in E's values merged with
-        its own, for this call."""
-        values = self.operands[0]
-        if values is None or "f" not in left.dtype.kind + right.dtype.kind:
-            return (left, right, square), self.decode
-        ops = [b if b.dtype.kind == "f" else values.take(b)
-               for b in (left, right, square)]
-        values = np.union1d(values, np.append(ops[0], ops[1]))
-        values[0] = 0.0  # np.unique may keep a -0.0 for the zero
-        return tuple(values.searchsorted(b) for b in ops), values.take
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Dense evaluators built literally from ``Matrix`` generators: test oracles
-of |E|^k or n^6 scalars for the query path, which no query calls."""
+of |E|^k or n^6 scalars for the query path, which no query calls.  They
+contract the floats ``enc.entries`` and ``verbs.blocks`` with their own
+broadcasts, so a fault in the query path's contraction shows."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,8 +13,9 @@ from .matrix import (Matrix, cap, check_budget, compose, cup, identity,
                      one_hot_state, scalar_value, spider, tensor, tensor_all,
                      wire_permutation)
 from .questions import ObjectWhom
-from .resolution import MatchingFunction, _product, resolution_scalar
-from .semantics import Discourse, noun_vector, sentence_effect
+from .resolution import MatchingFunction, resolution_scalar
+from .semantics import (AtomicSentence, Discourse, EntityNP, NounPhrase,
+                        PronounNP, RestrictedNP)
 from .semiring import Semiring
 
 
@@ -37,19 +40,49 @@ def triple_state(t: Triple, vocab: Vocabulary, semiring: Semiring) -> Matrix:
                   one_hot_state(t.o, ne, semiring))
 
 
+def _noun(np_: NounPhrase, enc: EncodingMatrix,
+          verbs: VerbMatrix) -> np.ndarray:
+    """Float n-vector of a pronoun-free noun phrase: the head's column, met
+    entrywise with the clause verb's rows summed against the complement."""
+    sr = enc.semiring
+    if isinstance(np_, EntityNP):
+        return enc.entries[:, np_.ordinal]
+    if isinstance(np_, RestrictedNP):
+        clause = sr.sum(sr.mul(verbs.blocks[np_.verb],
+                               _noun(np_.complement, enc, verbs)), axis=1)
+        return sr.mul(_noun(np_.head, enc, verbs), clause)
+    raise GrammarError(f"pronoun {np_.surface!r} in a closed noun phrase")
+
+
+def float_contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
+                   wire=None) -> np.ndarray:
+    """(+)_{x,y} L[x, i] (x) V[x, y] (x) R[y, j] on floats, as an (m_L, m_R)
+    array.  A closed side is its noun phrase's column; a pronoun side is
+    the float block ``wire(pronoun)``, E by default, or any (n, m) block,
+    such as E . state for an entity-store state."""
+    sr = enc.semiring
+
+    def side(np_):
+        if isinstance(np_, PronounNP):
+            return enc.entries if wire is None else wire(np_)
+        return _noun(np_, enc, verbs)[:, None]
+
+    left, right = side(s.subject), side(s.object)
+    vr = sr.sum(sr.mul(verbs.blocks[s.verb][:, :, None], right[None]), axis=1)
+    return sr.sum(sr.mul(left[:, :, None], vr[:, None, :]), axis=0)
+
+
 def discourse_effect(d: Discourse, enc: EncodingMatrix,
                      verbs: VerbMatrix) -> Matrix:
-    """Dense effect |E|^k -> 1: the tensor of the sentence effects."""
+    """Dense effect |E|^k -> 1: the tensor of the sentence effects, each
+    with its pronoun wires on E."""
     sr = enc.semiring
     ne = enc.vocab.n_entities
     check_budget(ne ** d.k)
-    out = np.ones((1, 1), dtype=sr.dtype) * sr.one
-    dom: tuple[int, ...] = ()
-    for s in d.sentences:
-        eff = sentence_effect(s, enc, verbs)
-        out = sr.mul(out[:, :, None], eff.entries[:, None, :]).reshape(1, -1)
-        dom = dom + eff.dom
-    return Matrix(sr, dom, (), out)
+    return tensor_all([
+        Matrix(sr, (ne,) * len(s.slots()), (),
+               float_contract(s, enc, verbs).reshape(1, -1))
+        for s in d.sentences], sr)
 
 
 def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
@@ -63,7 +96,7 @@ def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
     """
     sr = enc.semiring
     n = enc.n
-    subj = noun_vector(q.subject, enc, verbs)
+    subj = Matrix(sr, (), (n,), _noun(q.subject, enc, verbs).reshape(-1, 1))
     verb_state = Matrix(sr, (), (n, n), verbs.blocks[q.verb].reshape(-1, 1))
     # |E| -> n^6, wire order A B C D F G
     bottom = tensor(tensor(tensor(enc.matrix, cap(n, sr)), subj), verb_state)
@@ -79,23 +112,20 @@ def matching_process_eval(d: Discourse, mu: MatchingFunction,
 
     Per entity referenced by i slots, a 1-input i-output spider copies the
     stored state; each copy is recovered by discarding the other copy wires
-    and fed to its discourse wire.  Unreferenced entities are discarded with
-    the 1-input 0-output spider (each contributing the scalar 1).
+    and fed through E to its discourse wire.  Unreferenced entities are
+    discarded with the 1-input 0-output spider (each contributing the
+    scalar 1).
     """
     if len(mu) != d.k:
         raise GrammarError(f"matching of length {len(mu)} for k={d.k}")
     sr = enc.semiring
     ne = enc.vocab.n_entities
-    referencing: dict[int, list[int]] = {}
-    for slot, e in enumerate(mu.assignment):
-        referencing.setdefault(e, []).append(slot)
-
     total = sr.one
-    slot_states: dict[int, np.ndarray] = {}
+    wires: dict[int, np.ndarray] = {}  # slot -> E . its copy of the store
     discard = spider(1, 0, ne, sr)
     for e in range(ne):
         store = one_hot_state(e, ne, sr)
-        slots = referencing.get(e, [])
+        slots = [x for x, a in enumerate(mu.assignment) if a == e]
         if not slots:
             total = sr.mul(total, scalar_value(compose(store, discard)))
             continue
@@ -104,12 +134,12 @@ def matching_process_eval(d: Discourse, mu: MatchingFunction,
         for w, slot in enumerate(slots):
             keep = [identity(ne, sr) if j == w else discard for j in range(i)]
             factor = compose(copied, tensor_all(keep, sr))
-            slot_states[slot] = factor.entries.reshape(-1)
+            wires[slot] = compose(factor, enc.matrix).entries
 
-    def stored(pronoun):
-        return sr.matmul(enc.entries, slot_states[pronoun.slot][:, None])
-
-    return sr.mul(total, _product(d.sentences, enc, verbs, stored))[()]
+    for s in d.sentences:
+        total = sr.mul(total, float_contract(
+            s, enc, verbs, lambda p: wires[p.slot])[0, 0])
+    return total
 
 
 def dense_theorem_check(d: Discourse, mu: MatchingFunction,
@@ -130,19 +160,12 @@ def dense_theorem_check(d: Discourse, mu: MatchingFunction,
     sparse = resolution_scalar(d, mu, enc, verbs)
 
     store = tensor_all([one_hot_state(e, ne, sr) for e in range(ne)], sr)
-    counts = [0] * ne
-    for e in mu.assignment:
-        counts[e] += 1
-    spiders = tensor_all([spider(1, counts[e], ne, sr) for e in range(ne)], sr)
+    spiders = tensor_all([spider(1, mu.assignment.count(e), ne, sr)
+                          for e in range(ne)], sr)
     # grouped wire order: per entity in vocabulary order, its slots ascending
-    grouped = [slot for e in range(ne)
-               for slot in sorted(s for s, a in enumerate(mu.assignment)
-                                  if a == e)]
-    if d.k:
-        perm = tuple(grouped.index(slot) for slot in range(d.k))
-        process = compose(spiders, wire_permutation(perm, ne, sr))
-    else:
-        process = spiders
+    grouped = sorted(range(d.k), key=mu.assignment.__getitem__)
+    perm = tuple(grouped.index(slot) for slot in range(d.k))
+    process = compose(spiders, wire_permutation(perm, ne, sr))
     dense = scalar_value(compose(compose(store, process),
                                  discourse_effect(d, enc, verbs)))
     return sparse, dense

@@ -168,18 +168,13 @@ def resolution_scalar(d: Discourse, mu: MatchingFunction, enc: EncodingMatrix,
     def bound(pronoun):
         return enc.columns(mu.assignment[pronoun.slot])
 
-    value = _product(d.sentences, enc, verbs, bound)
-    enc.semiring.validate(value)
-    return value[()]
-
-
-def _product(sentences, enc: EncodingMatrix, verbs: VerbMatrix, wire=None):
-    """Semiring product of the sentence scalars, each wire bound by ``wire``."""
     sr = enc.semiring
     total = sr.one
-    for s in sentences:
-        total = sr.mul(total, contract(s, enc, verbs, wire))
-    return np.asarray(total).reshape(())
+    for s in d.sentences:
+        total = sr.mul(total, contract(s, enc, verbs, bound))
+    value = np.asarray(total).reshape(())
+    sr.validate(value)
+    return value[()]
 
 
 def score_all_matchings(d: Discourse, constraints: DrsConstraints,
@@ -219,9 +214,9 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     tie-break of the whole search.  All of it runs in the operand form, and
     the score alone is decoded: the decode is strictly increasing.
 
-    Raises BudgetExceeded if a component table exceeds the budget, and
-    DomainError if the score overflows (an inf entry, or the nan of inf
-    times zero, leaves the score non-finite).
+    Raises BudgetExceeded, before any contraction, if a component table
+    would exceed the budget, and DomainError if the score overflows (an inf
+    entry, or the nan of inf times zero, leaves the score non-finite).
     """
     sr = enc.semiring
     _check_constraints(constraints, d.k)
@@ -232,26 +227,28 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     def candidates(pronoun):
         return columns[slot_class[pronoun.slot]]
 
+    classes = [[slot_class[x] for x in s.slots()] for s in d.sentences]
+    components = _blocks(len(cands), classes)
+    for comp in components:
+        check_budget(prod(len(cands[c]) for c in comp))
+
     factors = []
-    for s in d.sentences:
-        cls = [slot_class[x] for x in s.slots()]
+    for s, cls in zip(d.sentences, classes):
         if len(cls) == 2 and cls[0] == cls[1]:
             col = columns[cls.pop()]
             factor = sr.sum(sr.mul(col, sr.matmul(enc.verb(verbs, s.verb),
                                                   col)), axis=0)
         else:
-            factor = contract_operands(s, enc, verbs, candidates)[0]
+            factor = contract_operands(s, enc, verbs, candidates)
             if len(cls) == 2 and cls[0] > cls[1]:
                 factor = factor.T
         factors.append((cls, factor))
     closed = [factor.reshape(()) for cls, factor in factors if not cls]
 
-    tables = []
-    for comp in _blocks(len(cands), [cls for cls, _ in factors]):
-        check_budget(prod(len(cands[c]) for c in comp))
-        tables.append((comp, reduce(sr.mul, [
-            factor.reshape([len(cands[c]) if c in cls else 1 for c in comp])
-            for cls, factor in factors if cls and cls[0] in comp])))
+    tables = [(comp, reduce(sr.mul, [
+        factor.reshape([len(cands[c]) if c in cls else 1 for c in comp])
+        for cls, factor in factors if cls and cls[0] in comp]))
+        for comp in components]
 
     maxima = [table.max() for _, table in tables]
     best = [0] * len(cands)

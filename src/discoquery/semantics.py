@@ -20,7 +20,7 @@ import numpy as np
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, utf8_text
 from .kb import PRONOUNS, Vocabulary
-from .matrix import Matrix
+from .matrix import Matrix, check_budget, prod
 
 
 @dataclass(frozen=True)
@@ -207,19 +207,18 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
 
     Each side is an (n, m) block of columns.  A closed noun phrase is its
     noun vector, one column.  A pronoun or question hole is
-    ``wire(pronoun)``: E itself by default, E[:, C] for a candidate class C,
-    E[:, [e]] for a bound entity, or E . state for an entity-store state.
+    ``wire(pronoun)``, a block from ``enc.columns``: E itself by default,
+    E[:, C] for a candidate class C, or E[:, [e]] for a bound entity.
     The narrower side meets V first, the subject side on a tie.
     Products run in the encoding's operand form (ranks, for fuzzy), decoded
     once.
     """
-    out, decode = contract_operands(s, enc, verbs, wire)
-    return decode(out)
+    return enc.decode(contract_operands(s, enc, verbs, wire))
 
 
 def contract_operands(s: AtomicSentence, enc: EncodingMatrix,
-                      verbs: VerbMatrix, wire=None):
-    """``contract``'s product in the operand form, and its decode."""
+                      verbs: VerbMatrix, wire=None) -> np.ndarray:
+    """``contract``'s product in the operand form."""
     sr = enc.semiring
 
     def side(np_):
@@ -228,19 +227,19 @@ def contract_operands(s: AtomicSentence, enc: EncodingMatrix,
                 else wire(np_)
         return _noun_array(np_, enc, verbs)[:, None]
 
-    (left, right, square), decode = enc.ranked(
-        side(s.subject), side(s.object), enc.verb(verbs, s.verb))
+    left, right = side(s.subject), side(s.object)
+    square = enc.verb(verbs, s.verb)
     if left.shape[1] <= right.shape[1]:
-        out = sr.matmul(sr.matmul(left.T, square), right)
-    else:
-        out = sr.matmul(left.T, sr.matmul(square, right))
-    return out, decode
+        return sr.matmul(sr.matmul(left.T, square), right)
+    return sr.matmul(left.T, sr.matmul(square, right))
 
 
 def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,
                     verbs: VerbMatrix) -> Matrix:
-    """Effect |E|^(a+b) -> 1 with wire order subject then object."""
+    """Effect |E|^(a+b) -> 1 with wire order subject then object; the
+    budget is checked before contracting."""
     dom = (enc.vocab.n_entities,) * (s.a + s.b)
+    check_budget(prod(dom))
     return Matrix(enc.semiring, dom, (), contract(s, enc, verbs).reshape(1, -1))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import GrammarError
 from .kb import KnowledgeGraph, Vocabulary
-from .questions import ObjectWhom, Question, SubjectWho, WhoWhom
+from .questions import Question, _sentence
 from .resolution import DrsConstraints
 from .semantics import Discourse, NounPhrase, PronounNP, RestrictedNP
 
@@ -61,9 +61,9 @@ class Select:
 QueryForm = Ask | SelectAll | Select
 
 
-def _np_term(np_: NounPhrase, slot_var) -> Term:
+def _np_term(np_: NounPhrase, slot_class) -> Term:
     if isinstance(np_, PronounNP):
-        return VarTerm(slot_var(np_.slot))
+        return VarTerm(slot_class[np_.slot])
     if isinstance(np_, RestrictedNP):
         return EntityTerm(np_.head.ordinal)
     return EntityTerm(np_.ordinal)
@@ -96,8 +96,8 @@ def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None
         slot_class = constraints.slot_class
     patterns: list[Pattern] = []
     for s in d.sentences:
-        patterns.append((_np_term(s.subject, slot_class.__getitem__), s.verb,
-                         _np_term(s.object, slot_class.__getitem__)))
+        patterns.append((_np_term(s.subject, slot_class), s.verb,
+                         _np_term(s.object, slot_class)))
         patterns.extend(_clause_patterns(s.subject))
         patterns.extend(_clause_patterns(s.object))
     bgp = BasicGraphPattern(tuple(patterns))
@@ -107,18 +107,12 @@ def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None
 
 
 def compile_question(q: Question) -> tuple[BasicGraphPattern, QueryForm]:
-    if isinstance(q, SubjectWho):
-        patterns = [(VarTerm(0), q.verb, _np_term(q.object, None))]
-        patterns += _clause_patterns(q.object)
-        return BasicGraphPattern(tuple(patterns)), Select((0,))
-    if isinstance(q, ObjectWhom):
-        patterns = [(_np_term(q.subject, None), q.verb, VarTerm(0))]
-        patterns += _clause_patterns(q.subject)
-        return BasicGraphPattern(tuple(patterns)), Select((0,))
-    if isinstance(q, WhoWhom):
-        return (BasicGraphPattern(((VarTerm(0), q.verb, VarTerm(1)),)),
-                Select((0, 1)))
-    raise TypeError(f"not a question: {q!r}")
+    """The question's sentence, its holes open pronoun wires, compiled as a
+    one-sentence discourse that selects every hole."""
+    s = _sentence(q)
+    k = len(s.slots())
+    bgp, _ = compile_discourse(Discourse((s,), k))
+    return bgp, Select(tuple(range(k)))
 
 
 DEFAULT_PREFIX = "http://example.org/kb#"

@@ -3,7 +3,9 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,6 +229,35 @@ def test_exit_3_past_each_budget_check(capsys, tmp_path, monkeypatch):
                 "resolve", "--kg", KG, "--embeddings", str(emb), *extra,
                 "he influenced him ."])
             assert code == want, (budget, extra)
+
+
+@pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])
+def test_resolve_checks_budget_before_contracting(capsys, tmp_path,
+                                                  monkeypatch, semiring):
+    """"he r0 him ." over 2,000 entities asks for a 4M-scalar table against
+    a budget of 65,536: resolve exits 3 with one error line, and the traced
+    peak of the whole command stays within 6x the budget's float64 bytes
+    (about 1-2 MB of it is loading), where contracting first would allocate
+    the table (10-32 MB)."""
+    ne, budget = 2000, 1 << 16
+    rng = np.random.default_rng(43)
+    kg, emb = tmp_path / "kg.tsv", tmp_path / "emb.tsv"
+    kg.write_text("".join(f"e{i}\tr0\te{(7 * i + 1) % ne}\n"
+                          for i in range(ne)))
+    emb.write_text("".join(f"e{i}\t{a:.3f},{b:.3f}\n"
+                           for i, (a, b) in enumerate(rng.random((ne, 2)))))
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [
+            "resolve", "--kg", str(kg), "--embeddings", str(emb),
+            "--semiring", semiring, "he r0 him ."])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert peak <= 6 * 8 * budget, peak
 
 
 @pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])

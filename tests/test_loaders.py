@@ -5,12 +5,15 @@ duplicate triples and entity declarations, and most carry one injected
 fault.  Both loaders must give the same vocabulary, triples and encoding,
 or the same LoadError line and message.
 """
+import ast
 import importlib
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import discoquery
 from discoquery import (ALL_SEMIRINGS, BOOLEAN, ask, build_verb_matrix,
                         identity_encoding, load_embeddings, load_kg)
 from discoquery.cli import main
@@ -248,6 +251,32 @@ def test_query_modules_bind_no_generator_or_oracle():
                  "sparql", "cli"):
         module = importlib.import_module(f"discoquery.{name}")
         assert not dense & vars(module).keys(), name
+
+
+def test_oracles_import_boundary():
+    """Only the package's __init__ imports oracles, and oracles names none
+    of the query path's contraction code, so an oracle check compares two
+    routes: every import, name and attribute in each module's source."""
+    query_path = {"contract", "contract_operands", "_noun_array",
+                  "noun_vector", "sentence_effect", "_product"}
+    package = Path(discoquery.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names.add((node.module or "").rpartition(".")[2])
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name.rpartition(".")[2]
+                             for alias in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if path.name == "oracles.py":
+            assert not names & query_path, sorted(names & query_path)
+        elif path.name != "__init__.py":
+            assert "oracles" not in names, path.name
 
 
 @pytest.mark.parametrize("text, line", [

@@ -10,6 +10,7 @@ from discoquery import (FUZZY, EncodingMatrix, build_verb_matrix,
                         resolve_argmax, score_all_matchings)
 from discoquery.cli import main
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
+from discoquery.oracles import float_contract
 from discoquery.semantics import EntityNP, PronounNP, RestrictedNP, contract
 from discoquery.semiring import Semiring
 
@@ -93,9 +94,10 @@ def test_rank_path_against_float_oracles():
     """contract on every wire kind, resolve_argmax against brute force,
     resolution_scalar, --all's scores and rank_answers, byte for byte, on
     uint16 ranks (|E| = 30, ties) and uint32 ranks (|E| = 25,000 floats,
-    more than 65,536 distinct values).  Float wire blocks take the lookup:
-    "bound" holds only E's values, "store" (E . state) and "foreign" hold
-    values outside E's table, and -0.0."""
+    more than 65,536 distinct values).  contract's wire blocks come from
+    ``enc.columns``; the float-only wires, "store" (E . state) and
+    "foreign", hold values outside E's table and -0.0, and are checked on
+    the oracles' float contraction, as every other wire is too."""
     rng = np.random.default_rng(23)
     for ne, n, levels, dtype in [(30, 3, 10, np.uint16),
                                  (25_000, 4, None, np.uint32)]:
@@ -105,14 +107,15 @@ def test_rank_path_against_float_oracles():
         store = np.minimum(ent, rng.random(ne)).max(axis=1, keepdims=True)
         foreign = rng.random((n, 40))
         foreign[rng.random(foreign.shape) < 0.3] = -0.0
-        # wire kind -> (block given to contract, its float values)
+        # wire kind -> (block from enc.columns, or None for a float-only
+        # wire; its float values)
         cands = [3, 0, ne - 1, 4]
         blocks = {
-            None: (enc.operands[1], ent),
-            "candidates": (enc.operands[1][:, cands], ent[:, cands]),
-            "bound": (ent[:, [2]], ent[:, [2]]),
-            "store": (store, store),
-            "foreign": (foreign, foreign)}
+            None: (enc.columns(range(ne)), ent),
+            "candidates": (enc.columns(cands), ent[:, cands]),
+            "bound": (enc.columns(2), ent[:, [2]]),
+            "store": (None, store),
+            "foreign": (None, foreign)}
         for text in TEXTS:
             st = parse_sentence(text, vocab)
             for ks in blocks if st.a else [None]:
@@ -120,10 +123,15 @@ def test_rank_path_against_float_oracles():
                     if st.a and st.b and ks is ko is None and ne > 100:
                         continue  # an |E| x |E| table
                     kinds = [ks, ko] if st.a else [ko]
-                    got = contract(st, enc, verbs,
-                                   lambda p: blocks[kinds[p.slot]][0])
                     want = oracle.contract(
                         st, lambda p: blocks[kinds[p.slot]][1])
+                    floats = float_contract(
+                        st, enc, verbs, lambda p: blocks[kinds[p.slot]][1])
+                    assert same_bytes(floats + 0.0, want), (ne, text, ks, ko)
+                    if "store" in kinds or "foreign" in kinds:
+                        continue
+                    got = contract(st, enc, verbs,
+                                   lambda p: blocks[kinds[p.slot]][0])
                     assert same_bytes(got, want), (ne, text, ks, ko)
 
         for text, coref, sizes in [

@@ -9,9 +9,11 @@ from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, MatchingFunction,
                         matching_process_eval, parse_discourse,
                         resolution_scalar, resolve_argmax,
                         score_all_matchings)
+from discoquery import semantics
 from discoquery.errors import BudgetExceeded, GrammarError, LoadError
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.resolution import DrsConstraints
+from discoquery.semantics import AtomicSentence
 
 from conftest import DATA, identity_setup, random_encoding, random_kg
 
@@ -263,6 +265,37 @@ def test_matching_process_eval_agrees(sr):
             a = resolution_scalar(d, mu, enc, verbs)
             b = matching_process_eval(d, mu, enc, verbs)
             assert sr.close(a, b, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY],
+                         ids=lambda s: s.name)
+def test_oracles_catch_a_swapped_contraction(sr, monkeypatch):
+    """Seed a bug that swaps subject and object in contract_operands: the
+    oracles, which contract on their own, keep the true scalars, so each
+    disagrees with the seeded resolution_scalar.  The triples are
+    asymmetric, so that boolean changes too."""
+    vocab = Vocabulary.from_lists(["a", "b", "c"], ["r0", "r1"])
+    kg = KnowledgeGraph([Triple(0, 0, 1), Triple(1, 0, 2), Triple(0, 1, 2),
+                         Triple(2, 1, 1)])
+    enc, verbs = identity_setup(vocab, kg, sr)
+    d = parse_discourse("he r0 him . a r1 him .", vocab)
+    mus = list(enumerate_matchings(default_constraints(d.k, vocab), d.k,
+                                   vocab))
+    true = [resolution_scalar(d, mu, enc, verbs) for mu in mus]
+    contract_operands = semantics.contract_operands
+
+    def swapped(s, enc, verbs, wire=None):
+        flipped = AtomicSentence(s.object, s.verb, s.subject)
+        return contract_operands(flipped, enc, verbs, wire).T
+
+    monkeypatch.setattr(semantics, "contract_operands", swapped)
+    seeded = [resolution_scalar(d, mu, enc, verbs) for mu in mus]
+    process = [matching_process_eval(d, mu, enc, verbs) for mu in mus]
+    checks = [dense_theorem_check(d, mu, enc, verbs) for mu in mus]
+    assert [sparse for sparse, _ in checks] == seeded
+    assert process == [dense for _, dense in checks] == true
+    assert sum(a != b for a, b in zip(seeded, process)) > 0
+    assert sum(sparse != dense for sparse, dense in checks) > 0
 
 
 @pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL])

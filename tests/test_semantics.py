@@ -7,8 +7,10 @@ from discoquery import (BOOLEAN, NONNEG_REAL, Triple, build_verb_matrix,
                         noun_vector, parse_discourse, parse_sentence,
                         sentence_effect)
 from discoquery import matrix as matrix_mod
+from discoquery import semantics
 from discoquery import semiring as semiring_mod
 from discoquery.errors import BudgetExceeded, GrammarError, LoadError
+from discoquery.oracles import float_contract
 from discoquery.semantics import (EntityNP, PronounNP, RestrictedNP,
                                   contract, load_lemmas)
 
@@ -224,7 +226,9 @@ def naive_contract(sr, left, square, right):
 def test_contract_against_naive_oracle(sr, monkeypatch):
     """Every sentence shape and every kind of pronoun wire, on random
     encodings, through the whole and the blocked broadcast (and BLAS for
-    boolean matrix products)."""
+    boolean matrix products).  ``contract`` gets its wire blocks from
+    ``enc.columns``; the oracles' float contraction also takes the
+    float-only E . state wire."""
     rng = np.random.default_rng(17)
     texts = ["e0 r0 e1 .", "e0 that r1 e2 r0 e1 .",
              "he r0 e1 .", "he r0 e1 that r1 e2 .",
@@ -240,16 +244,18 @@ def test_contract_against_naive_oracle(sr, monkeypatch):
             e = enc.matrix.entries
             state = random_entries(rng, (vocab.n_entities, 1), sr)
             eye = np.eye(vocab.n_entities, dtype=sr.dtype)
-            # wire kind -> block of encoding columns; None is the default E
-            blocks = {None: e, "candidates": e[:, [3, 0, 4]],
-                      "bound": e[:, [2]],
-                      "store": naive_contract(sr, e.T, eye, state)}
+            # wire kind -> (block from enc.columns, or None for a float-only
+            # wire; its float values); None is the default E
+            blocks = {None: (enc.columns(range(vocab.n_entities)), e),
+                      "candidates": (enc.columns([3, 0, 4]), e[:, [3, 0, 4]]),
+                      "bound": (enc.columns(2), e[:, [2]]),
+                      "store": (None, naive_contract(sr, e.T, eye, state))}
             for text in texts:
                 st = parse_sentence(text, vocab)
 
                 def side(np_, kind):
                     if isinstance(np_, PronounNP):
-                        return blocks[kind]
+                        return blocks[kind][1]
                     return noun_vector(np_, enc, verbs).entries
 
                 for ks in blocks if st.a else [None]:
@@ -258,8 +264,14 @@ def test_contract_against_naive_oracle(sr, monkeypatch):
                             sr, side(st.subject, ks), verbs.blocks[st.verb],
                             side(st.object, ko))
                         kinds = [ks, ko] if st.a else [ko]
+                        floats = float_contract(
+                            st, enc, verbs, lambda p: blocks[kinds[p.slot]][1])
+                        assert sr.close(floats, want, rtol=1e-12), \
+                            (text, ks, ko)
+                        if "store" in (ks, ko):
+                            continue
                         wire = None if ks is ko is None else (
-                            lambda p: blocks[kinds[p.slot]])
+                            lambda p: blocks[kinds[p.slot]][0])
                         got = contract(st, enc, verbs, wire)
                         assert got.shape == want.shape
                         assert sr.close(got, want, rtol=1e-12), (text, ks, ko)
@@ -346,6 +358,25 @@ def test_discourse_budget(philosophers, monkeypatch):
     monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         discourse_effect(d, enc, verbs)
+
+
+def test_sentence_effect_checks_budget_first(philosophers, monkeypatch):
+    """|E|^(a+b) is checked against the budget before the sentence
+    contracts."""
+    vocab, kg = philosophers
+    enc, verbs = identity_setup(vocab, kg, NONNEG_REAL)
+    s = parse_sentence("he influenced him .", vocab)
+    ne = vocab.n_entities
+    contracted = []
+    monkeypatch.setattr(semantics, "contract",
+                        lambda *args: contracted.append(args))
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", ne * ne - 1)
+    with pytest.raises(BudgetExceeded):
+        sentence_effect(s, enc, verbs)
+    assert not contracted
+    monkeypatch.undo()
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", ne * ne)
+    assert sentence_effect(s, enc, verbs).dom == (ne, ne)
 
 
 def test_eval_sentence_rejects_pronouns(philosophers):
