@@ -65,11 +65,13 @@ class EncodingMatrix:
     def columns(self, cands) -> np.ndarray:
         """E[:, C] in the operand form: E itself for C = ``range(|E|)``, a
         view E[:, [e]] for one entity C = e, else gathered by take in C order
-        like E (so BLAS sums alike)."""
+        like E (so BLAS sums alike); an ``intp`` array C gathers directly."""
         e = self.operands[1]
         if isinstance(cands, (int, np.integer)):
             return e[:, cands, None]
-        return e if cands == range(e.shape[1]) else e.take(cands, axis=1)
+        if isinstance(cands, range) and cands == range(e.shape[1]):
+            return e
+        return e.take(cands, axis=1)
 
     def verb(self, verbs: VerbMatrix, v: int) -> np.ndarray:
         """Block v of ``verbs.operands``; ValueError if ranked in another

@@ -18,7 +18,8 @@ from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, LoadError, utf8_text
 from .kb import Vocabulary
 from .matrix import check_budget, prod
-from .semantics import Discourse, contract, contract_operands
+from .semantics import (Discourse, _noun_array, contract,
+                        contract_operands)
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,28 @@ class DrsConstraints:
 
     A class with no candidate restriction holds ``range(|E|)``, which
     resolution contracts on the encoding itself, with no gather.
-    ``slot_class`` maps each slot to the index of its class.
+    ``slot_class`` maps each slot to the index of its class, and
+    ``indices`` holds each class's candidates as a read-only ``intp`` array
+    (a range stays a range), converted once for ``EncodingMatrix.columns``.
     """
     classes: tuple[tuple[int, ...], ...]
     candidates: tuple[Sequence[int], ...]
     slot_class: dict[int, int] = field(init=False, repr=False)
+    indices: tuple[np.ndarray | range, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slot_class", {
             s: c for c, members in enumerate(self.classes) for s in members})
+        object.__setattr__(self, "indices",
+                           tuple(map(_index_array, self.candidates)))
+
+
+def _index_array(cands: Sequence[int]) -> np.ndarray | range:
+    if isinstance(cands, range):
+        return cands
+    arr = np.fromiter(cands, np.intp, len(cands))
+    arr.flags.writeable = False
+    return arr
 
 
 def default_constraints(k: int, vocab: Vocabulary) -> DrsConstraints:
@@ -189,7 +203,6 @@ def score_all_matchings(d: Discourse, constraints: DrsConstraints,
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def resolve_argmax(d: Discourse, constraints: DrsConstraints,
                    enc: EncodingMatrix, verbs: VerbMatrix,
                    vocab: Vocabulary) -> tuple[MatchingFunction, object]:
@@ -197,72 +210,193 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
 
     Ties go to the first best matching in ``enumerate_matchings`` order.
 
-    Classes are joined into components by the sentences they share.  Each
-    component becomes one table over its classes' candidates, axes in
-    class order: the semiring product of its sentences' contractions with
-    each pronoun wire on its class's candidate columns E[:, C] (for two
-    pronouns of one class, the diagonal of that matrix, computed directly),
-    of size prod |C_c| under the scalar budget.  The score is
-    closed (x) M_1 (x) ... (x) M_m, with closed the product of the
-    pronoun-free sentences and M_c the largest entry of table c.  Component
-    c takes the first entry (in C order, which is enumeration order) with
-    table (x) rest_c == M_c (x) rest_c, where rest_c is closed times the
-    other components' maxima (table == M_c if there are none).  That is the
-    entries equal to M_c for boolean and reals, the entries at least the
-    score for fuzzy min, and every entry, hence each class's first
-    candidate, when the score is zero: exactly the enumeration-order
-    tie-break of the whole search.  All of it runs in the operand form, and
-    the score alone is decoded: the decode is strictly increasing.
+    Classes are joined into components by the sentences they share.  A
+    sentence with one pronoun, or with two of one class (the diagonal,
+    computed directly), is a unary factor on its class; a sentence with
+    pronouns of two classes is an edge between them.  A component's
+    maximum M_c comes from one of two forms:
 
-    Raises BudgetExceeded, before any contraction, if a component table
-    would exceed the budget, and DomainError if the score overflows (an inf
-    entry, or the nan of inf times zero, leaves the score non-finite).
+    - Messages (``_belief``), when the component has one class, or when
+      (+) is max (boolean, fuzzy) and its edges form a tree over its
+      classes.  No table is built, and a class costs O(n^2 + n |C|) a pass.
+    - A table otherwise (reals; two edges on one class pair, or a longer
+      cycle): the semiring product of the component's sentence
+      contractions, each pronoun wire on its class's candidate columns
+      E[:, C], axes in class order, of prod |C_c| scalars; M_c is its
+      largest entry.
+
+    The score is closed (x) M_1 (x) ... (x) M_m, with closed the product of
+    the pronoun-free sentences.  With rest_c the product of closed and the
+    other components' maxima, component c takes its first assignment in
+    enumeration order whose value (x) rest_c == M_c (x) rest_c (value ==
+    M_c if there is no rest).  That is the entries equal to M_c for boolean
+    and reals, the entries at least the score for fuzzy min, and every
+    entry, hence each class's first candidate, when the score is zero:
+    exactly the enumeration-order tie-break of the whole search.  A table
+    takes its first such entry in C order.  Messages decode class by class,
+    in class order: each class takes its first candidate whose max-marginal,
+    with the classes before it held at their choices, passes the same test.
+    As (x) (min, and) distributes over max, that is the same assignment.
+    All of it runs in the operand form, and the score alone is decoded: the
+    decode is strictly increasing.
+
+    Raises BudgetExceeded, before any contraction, if a class of a message
+    component (n |C| scalars: its columns, and each temporary of a message
+    it sends or receives) or a component table would exceed the budget, and
+    DomainError if the score overflows (an inf entry, or the nan of inf
+    times zero, leaves the score non-finite).
     """
+    if enc.semiring.name != "nonneg-real":
+        return _resolve(d, constraints, enc, verbs)
+    # Only real products overflow.  Entering the context costs about 4 us,
+    # some 5 % of a coupled fuzzy search, so boolean and fuzzy skip it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _resolve(d, constraints, enc, verbs)
+
+
+def _resolve(d: Discourse, constraints: DrsConstraints, enc: EncodingMatrix,
+             verbs: VerbMatrix) -> tuple[MatchingFunction, object]:
     sr = enc.semiring
+    by_max = sr.name != "nonneg-real"
     _check_constraints(constraints, d.k)
     slot_class = constraints.slot_class
     cands = constraints.candidates
-    columns = [enc.columns(c) for c in cands]
+    classes = [[slot_class[x] for x in s.slots()] for s in d.sentences]
+    components = _blocks(len(cands), classes)
+    comp_of = {c: i for i, comp in enumerate(components) for c in comp}
+    n_edges = [0] * len(components)
+    for cls in classes:
+        if len(cls) == 2 and cls[0] != cls[1]:
+            n_edges[comp_of[cls[0]]] += 1
+    # Messages for one class, or a tree of classes under a max (+).
+    messages = [len(comp) == 1 or (by_max and n_edges[i] == len(comp) - 1)
+                for i, comp in enumerate(components)]
+    for comp, by_messages in zip(components, messages):
+        check_budget(enc.n * max(len(cands[c]) for c in comp) if by_messages
+                     else prod(len(cands[c]) for c in comp))
+    columns = [enc.columns(ix) for ix in constraints.indices]
 
     def candidates(pronoun):
         return columns[slot_class[pronoun.slot]]
 
-    classes = [[slot_class[x] for x in s.slots()] for s in d.sentences]
-    components = _blocks(len(cands), classes)
-    for comp in components:
-        check_budget(prod(len(cands[c]) for c in comp))
-
-    factors = []
+    closed, factors = [], [[] for _ in components]
+    own = [None] * len(cands)  # product of each class's unary factors
+    edges = [[] for _ in cands]
     for s, cls in zip(d.sentences, classes):
+        if not cls:
+            closed.append(contract_operands(s, enc, verbs).reshape(()))
+            continue
+        i = comp_of[cls[0]]
+        verb = enc.verb(verbs, s.verb)
         if len(cls) == 2 and cls[0] == cls[1]:
             col = columns[cls.pop()]
-            factor = sr.sum(sr.mul(col, sr.matmul(enc.verb(verbs, s.verb),
-                                                  col)), axis=0)
-        else:
+            factor = sr.sum(sr.mul(col, sr.matmul(verb, col)), axis=0)
+        elif not messages[i] or (len(cls) == 1 and not by_max):
             factor = contract_operands(s, enc, verbs, candidates)
             if len(cls) == 2 and cls[0] > cls[1]:
                 factor = factor.T
-        factors.append((cls, factor))
-    closed = [factor.reshape(()) for cls, factor in factors if not cls]
+        elif len(cls) == 2:
+            edges[cls[0]].append((cls[1], verb, True))
+            edges[cls[1]].append((cls[0], verb, False))
+            continue
+        else:
+            # The closed side's noun vector is a message from a held leaf.
+            held = s.subject if s.b else s.object
+            factor = _receive(sr, _noun_array(held, enc, verbs), verb, s.b,
+                              columns[cls[0]])
+        if not messages[i]:
+            factors[i].append((cls, factor))
+        else:
+            c, factor = cls[0], factor.reshape(-1)
+            own[c] = factor if own[c] is None else sr.mul(own[c], factor)
 
-    tables = [(comp, reduce(sr.mul, [
-        factor.reshape([len(cands[c]) if c in cls else 1 for c in comp])
-        for cls, factor in factors if cls and cls[0] in comp]))
-        for comp in components]
-
-    maxima = [table.max() for _, table in tables]
+    tops, maxima = [], []
+    for comp, by_messages, table_factors in zip(components, messages,
+                                                factors):
+        top = _belief(sr, comp[0], {}, own, edges, columns) if by_messages \
+            else reduce(sr.mul, [
+                factor.reshape([len(cands[c]) if c in cls else 1
+                                for c in comp])
+                for cls, factor in table_factors])
+        tops.append(top)
+        maxima.append(top.max())
     best = [0] * len(cands)
-    for i, (comp, table) in enumerate(tables):
-        rest = closed + maxima[:i] + maxima[i + 1:]
-        if rest:
-            rest = reduce(sr.mul, rest)
-            table = sr.mul(table, rest) == sr.mul(maxima[i], rest)
-        pos = int(table.argmax())
-        for c in reversed(comp):
-            pos, p = divmod(pos, len(cands[c]))
-            best[c] = cands[c][p]
+    for i, comp in enumerate(components):
+        others = closed + maxima[:i] + maxima[i + 1:]
+        rest = reduce(sr.mul, others) if others else None
+        goal = None if rest is None else sr.mul(maxima[i], rest)
+        if messages[i]:
+            fixed = {comp[0]: _first(sr, tops[i], rest, goal)}
+            for c in comp[1:]:
+                fixed[c] = _first(sr, _belief(sr, c, fixed, own, edges,
+                                              columns), rest, goal)
+            for c, pos in fixed.items():
+                best[c] = cands[c][pos]
+        else:
+            pos = _first(sr, tops[i], rest, goal)
+            for c in reversed(comp):
+                pos, p = divmod(pos, len(cands[c]))
+                best[c] = cands[c][p]
 
     score = np.asarray(enc.decode(reduce(sr.mul, closed + maxima)))
     sr.validate(score)
     assignment = tuple(best[slot_class[s]] for s in range(d.k))
     return MatchingFunction(assignment), score[()]
+
+
+def _first(sr, values: np.ndarray, rest, goal) -> int:
+    """Flat position of the first entry with values (x) rest == goal, where
+    goal = M (x) rest for the largest value M; the first M when there is no
+    rest.  Under a max (+), (x) is min or and, and every value is at most
+    M, so the test is values >= goal."""
+    if rest is None:
+        return int(values.argmax())
+    hits = sr.mul(values, rest) == goal if sr.name == "nonneg-real" \
+        else values >= goal
+    return int(hits.argmax())
+
+
+def _belief(sr, target: int, fixed: dict[int, int], own, edges,
+            columns) -> np.ndarray:
+    """Max-marginal of class ``target`` over its candidates, in the operand
+    form, for a tree of classes under a max (+): its own unary factors
+    ``own`` times a message from each neighbour.  A class in ``fixed`` is
+    held at the candidate position given there.
+
+    The tree is walked outwards from the target; then each class, leaves
+    first, sends its parent the n-vector m = (+)_j b[j] (x) E[:, C[j]], where
+    b is its own factors times the messages it has received (one column if
+    the class is fixed).  On an edge with verb V, the parent's candidates
+    receive E[:, C_p]^T.V.m when the sender is the sentence's object, and
+    (m^T.V).E[:, C_p] when it is the subject.
+    """
+    order = [(target, None, None, False)]
+    for c, parent, _, _ in order:
+        for other, verb, subject in edges[c]:
+            if other != parent:
+                order.append((other, c, verb, not subject))
+    received = {}
+    for c, parent, verb, subject in reversed(order):
+        b = own[c]
+        if c in received:
+            b = received[c] if b is None else sr.mul(b, received[c])
+        if parent is None:
+            return b
+        if c in fixed:
+            col = columns[c][:, fixed[c]]
+            m = col if b is None else sr.mul(b[fixed[c]], col)
+        else:
+            m = sr.sum(columns[c] if b is None else sr.mul(columns[c], b),
+                       axis=1)
+        into = _receive(sr, m, verb, subject, columns[parent])
+        received[parent] = into if parent not in received \
+            else sr.mul(received[parent], into)
+
+
+def _receive(sr, m: np.ndarray, verb: np.ndarray, from_subject,
+             columns: np.ndarray) -> np.ndarray:
+    """What candidates C receive from the n-vector m across a sentence with
+    verb V: E[:, C]^T.V.m, or (m^T.V).E[:, C] when m is on the subject side."""
+    w = sr.sum(sr.mul(m[:, None], verb), axis=0) if from_subject \
+        else sr.sum(sr.mul(verb, m), axis=1)
+    return sr.sum(sr.mul(columns, w[:, None]), axis=0)

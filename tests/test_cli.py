@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discoquery import (MatchingFunction, build_verb_matrix, by_name,
+                        load_embeddings, load_kg, parse_discourse,
+                        resolution_scalar)
 from discoquery import matrix as matrix_mod
-from discoquery.cli import main
+from discoquery.cli import format_scalar, main
 
 from conftest import DATA, GOLDENS, cli_env
 
@@ -234,11 +237,14 @@ def test_exit_3_past_each_budget_check(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])
 def test_resolve_checks_budget_before_contracting(capsys, tmp_path,
                                                   monkeypatch, semiring):
-    """"he r0 him ." over 2,000 entities asks for a 4M-scalar table against
-    a budget of 65,536: resolve exits 3 with one error line, and the traced
-    peak of the whole command stays within 6x the budget's float64 bytes
-    (about 1-2 MB of it is loading), where contracting first would allocate
-    the table (10-32 MB)."""
+    """"he r0 him ." over 2,000 entities, against a budget of 65,536.  For
+    reals it asks for a 4M-scalar table: resolve exits 3 with one error
+    line.  Boolean and fuzzy resolve it by messages, which gather n |C| =
+    4,000 scalars a class: resolve exits 0, and its score is the scalar of
+    the matching it prints.  Either way the traced peak of the whole command
+    stays within 6x the budget's float64 bytes (about 1-2 MB of it is
+    loading), where contracting a table first would allocate it (10-32
+    MB)."""
     ne, budget = 2000, 1 << 16
     rng = np.random.default_rng(43)
     kg, emb = tmp_path / "kg.tsv", tmp_path / "emb.tsv"
@@ -247,17 +253,67 @@ def test_resolve_checks_budget_before_contracting(capsys, tmp_path,
     emb.write_text("".join(f"e{i}\t{a:.3f},{b:.3f}\n"
                            for i, (a, b) in enumerate(rng.random((ne, 2)))))
     monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", budget)
+    text = "he r0 him ."
     tracemalloc.start()
     try:
         code, out, err = run(capsys, [
             "resolve", "--kg", str(kg), "--embeddings", str(emb),
-            "--semiring", semiring, "he r0 him ."])
+            "--semiring", semiring, "--json", text])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out) == (3, "")
-    assert err.startswith("error:") and err.count("\n") == 1
     assert peak <= 6 * 8 * budget, peak
+    if semiring == "real":
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        return
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    sr = by_name(semiring)
+    vocab, graph = load_kg(kg)
+    enc = load_embeddings(emb, vocab, sr)
+    mu = MatchingFunction(tuple(vocab.entity_index[c["entity"]]
+                                for c in got["classes"]))
+    want = resolution_scalar(parse_discourse(text, vocab), mu, enc,
+                             build_verb_matrix(enc, graph))
+    assert got["score"] == format_scalar(sr, want, json_mode=True)
+
+
+@pytest.mark.parametrize("semiring", ["boolean", "fuzzy"])
+def test_resolve_chain_over_every_entity(capsys, tmp_path, semiring):
+    """The chain "he r0 him . him r1 she ." with corefer 1 2 over all 2,000
+    entities, n = 16, under the default budget: a table would hold 8e9
+    scalars, and messages answer it.  The printed score is the scalar of
+    the printed matching, and no matching of a seeded sample beats it."""
+    ne, n = 2000, 16
+    rng = np.random.default_rng(47)
+    kg, emb = tmp_path / "kg.tsv", tmp_path / "emb.tsv"
+    cons = tmp_path / "chain.constraints"
+    kg.write_text("".join(f"e{i}\n" for i in range(ne)) + "".join(
+        f"e{s}\tr{v}\te{o}\n" for s, v, o in zip(
+            rng.integers(ne, size=4000), rng.integers(2, size=4000),
+            rng.integers(ne, size=4000))))
+    values = np.where(rng.random((ne, n)) < 0.7, 0.0, rng.random((ne, n)))
+    emb.write_text("".join(f"e{i}\t{','.join(f'{x:.3f}' for x in row)}\n"
+                           for i, row in enumerate(values)))
+    cons.write_text("corefer: 1 2\n")
+    text = "he r0 him . him r1 she ."
+    code, out, err = run(capsys, [
+        "resolve", "--kg", str(kg), "--embeddings", str(emb), "--semiring",
+        semiring, "--constraints", str(cons), "--json", text])
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    sr = by_name(semiring)
+    vocab, graph = load_kg(kg)
+    enc = load_embeddings(emb, vocab, sr)
+    verbs = build_verb_matrix(enc, graph)
+    d = parse_discourse(text, vocab)
+    a, b, c = (vocab.entity_index[x["entity"]] for x in got["classes"])
+    score = resolution_scalar(d, MatchingFunction((a, b, b, c)), enc, verbs)
+    assert got["score"] == format_scalar(sr, score, json_mode=True)
+    for a, b, c in rng.integers(ne, size=(64, 3)).tolist():
+        assert resolution_scalar(d, MatchingFunction((a, b, b, c)), enc,
+                                 verbs) <= score
 
 
 @pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])

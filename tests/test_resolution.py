@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 
-from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, MatchingFunction,
-                        build_verb_matrix, default_constraints,
+from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, EncodingMatrix,
+                        MatchingFunction, build_verb_matrix,
+                        default_constraints,
                         dense_theorem_check, enumerate_matchings,
                         load_constraints, make_constraints,
                         matching_process_eval, parse_discourse,
                         resolution_scalar, resolve_argmax,
                         score_all_matchings)
-from discoquery import semantics
+from discoquery import resolution, semantics
 from discoquery.errors import BudgetExceeded, GrammarError, LoadError
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.resolution import DrsConstraints
@@ -153,13 +154,35 @@ def brute_force_argmax(scored):
     return best
 
 
+# Discourses with fixed coreference: (text, coref, whether boolean and fuzzy
+# resolve every component by messages rather than by a table).
+SHAPES = [
+    ("he r0 him . him r1 she .", [(1, 2)], True),  # 3-class chain
+    ("he r0 him . him r1 she . her r0 it .", [(1, 2), (3, 4)], True),
+    ("him r0 he . she r1 he .", [(1, 3)], True),  # class 1 in the middle
+    ("he r0 him . he r1 she . it r0 he .", [(0, 2, 5)], True),  # star
+    ("him r0 he . she r1 he . it r0 he .", [(1, 3, 5)], True),
+    # a diagonal sentence on a tree class
+    ("he r0 him . him r1 she . she r0 her .", [(1, 2), (3, 4, 5)], True),
+    ("he r0 him . he r1 him .", [(0, 2), (1, 3)], False),  # multi-edge
+    ("he r0 him . him r1 she . she r0 he .", [(1, 2), (3, 4), (0, 5)],
+     False),  # 3-cycle
+    # closed sentences and two components
+    ("he r0 him . e0 r1 e1 . she r1 e2 . her r0 it . e1 r0 e0 .", [], True),
+]
+
+
 @pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY])
-def test_argmax_matches_brute_force_random(sr):
-    """Same matching and score as enumeration, ties included: 10 trials at
-    |E| = 4, n = 3, then 6 at |E| 40-60, n 8-40 with 2-5 candidates per
-    class, where products have many rows and columns (the F-ordered left
-    operand) and fuzzy tables hold ranks.  Boolean and fuzzy scores are
-    bit-exact; real ones may differ by reassociation."""
+def test_argmax_matches_brute_force_random(sr, monkeypatch):
+    """Same matching, score and scalar type as enumeration, ties included:
+    10 trials at |E| = 4, n = 3, then 6 at |E| 40-60, n 8-40 with 2-5
+    candidates per class (2-3 for SHAPES), where products have many rows
+    and columns (the F-ordered left operand) and fuzzy tables hold ranks.
+    Boolean and fuzzy scores are bit-exact; real ones may differ by
+    reassociation.  Boolean and fuzzy SHAPES check which form each takes:
+    messages for trees of classes, a table for a multi-edge or a cycle.
+    Boolean draws 4-8 triples a relation and 30 % true bits; denser draws
+    make nearly every verb block all true and every score true."""
     rng = np.random.default_rng(29)
     texts = [
         "e0 r0 him . he r1 e1 .",
@@ -169,21 +192,34 @@ def test_argmax_matches_brute_force_random(sr):
         "he r0 him . she r1 e0 . e1 r0 her .",
         "he r0 him . him r1 she . she r0 e1 .",
     ]
+    beliefs = []
+    belief = resolution._belief
+    monkeypatch.setattr(resolution, "_belief",
+                        lambda *a: beliefs.append(a) or belief(*a))
     for trial in range(16):
         large = trial >= 10
         ne, n = (rng.integers(40, 61), rng.integers(8, 41)) if large \
             else (4, 3)
-        vocab, kg = random_kg(rng, ne, 2, density=(0.1, 0.3)[trial % 2])
-        enc = random_encoding(vocab, n, sr, rng)
+        if sr is BOOLEAN:
+            # A few triples a relation and sparse bits, so that verb blocks
+            # are not all true and scores differ between matchings.
+            vocab, kg = random_kg(rng, ne, 2, density=(4, 8)[trial % 2] / ne**2)
+            enc = EncodingMatrix(sr, rng.random((n, ne)) < 0.3, vocab)
+        else:
+            vocab, kg = random_kg(rng, ne, 2, density=(0.1, 0.3)[trial % 2])
+            enc = random_encoding(vocab, n, sr, rng)
         verbs = build_verb_matrix(enc, kg)
-        for text in texts:
+        for text, coref, tree in [(t, None, None) for t in texts] + SHAPES:
             d = parse_discourse(text, vocab)
-            corefs = [[], [(0, 1)]] + ([[(0, 2)], [(1, 2)]] if d.k > 2 else [])
-            coref = corefs[trial % len(corefs)]
+            if coref is None:
+                corefs = [[], [(0, 1)]] + (
+                    [[(0, 2)], [(1, 2)]] if d.k > 2 else [])
+                coref = corefs[trial % len(corefs)]
             if large:
                 classes = make_constraints(d.k, vocab, coref=coref).classes
+                top = 6 if tree is None else 4
                 candidates = {
-                    c[0]: rng.choice(ne, rng.integers(2, 6),
+                    c[0]: rng.choice(ne, rng.integers(2, top),
                                      replace=False).tolist()
                     for c in classes}
             else:
@@ -196,12 +232,16 @@ def test_argmax_matches_brute_force_random(sr):
                 continue
             scored = score_all_matchings(d, cons, enc, verbs, vocab)
             want_mu, want_s = brute_force_argmax(scored)
+            beliefs.clear()
             got_mu, got_s = resolve_argmax(d, cons, enc, verbs, vocab)
-            assert got_mu == want_mu, (text, coref, candidates)
+            case = (text, coref, candidates)
+            if tree is not None and sr is not NONNEG_REAL:
+                assert bool(beliefs) is tree, case
+            assert got_mu == want_mu, case
+            assert type(got_s) is type(want_s), case
             assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
             if sr is not NONNEG_REAL:
-                assert type(got_s) is type(want_s)
-                assert float(got_s).hex() == float(want_s).hex()
+                assert float(got_s).hex() == float(want_s).hex(), case
             assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
                 pytest.approx(float(want_s), rel=1e-9)
             # Every candidate set spelled out as a tuple takes the gather
