@@ -203,6 +203,7 @@ def score_all_matchings(d: Discourse, constraints: DrsConstraints,
             for mu in enumerate_matchings(constraints, d.k, vocab)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resolve_argmax(d: Discourse, constraints: DrsConstraints,
                    enc: EncodingMatrix, verbs: VerbMatrix,
                    vocab: Vocabulary) -> tuple[MatchingFunction, object]:
@@ -240,24 +241,14 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     All of it runs in the operand form, and the score alone is decoded: the
     decode is strictly increasing.
 
-    Raises BudgetExceeded, before any contraction, if a class of a message
-    component (n |C| scalars: its columns, and each temporary of a message
-    it sends or receives) or a component table would exceed the budget, and
-    DomainError if the score overflows (an inf entry, or the nan of inf
-    times zero, leaves the score non-finite).
+    Raises BudgetExceeded, before any contraction, if a component would
+    exceed the budget: under a max (+), n |C| scalars for each class of a
+    message component (its columns, and each temporary of a message it
+    sends or receives); prod |C_c| for a table, or for a real class on its
+    own; and DomainError if the score overflows (an inf entry, or the nan
+    of inf times zero, leaves the score non-finite).
     """
-    if enc.semiring.name != "nonneg-real":
-        return _resolve(d, constraints, enc, verbs)
-    # Only real products overflow.  Entering the context costs about 4 us,
-    # some 5 % of a coupled fuzzy search, so boolean and fuzzy skip it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _resolve(d, constraints, enc, verbs)
-
-
-def _resolve(d: Discourse, constraints: DrsConstraints, enc: EncodingMatrix,
-             verbs: VerbMatrix) -> tuple[MatchingFunction, object]:
     sr = enc.semiring
-    by_max = sr.name != "nonneg-real"
     _check_constraints(constraints, d.k)
     slot_class = constraints.slot_class
     cands = constraints.candidates
@@ -269,10 +260,12 @@ def _resolve(d: Discourse, constraints: DrsConstraints, enc: EncodingMatrix,
         if len(cls) == 2 and cls[0] != cls[1]:
             n_edges[comp_of[cls[0]]] += 1
     # Messages for one class, or a tree of classes under a max (+).
+    by_max = sr.name != "nonneg-real"
     messages = [len(comp) == 1 or (by_max and n_edges[i] == len(comp) - 1)
                 for i, comp in enumerate(components)]
     for comp, by_messages in zip(components, messages):
-        check_budget(enc.n * max(len(cands[c]) for c in comp) if by_messages
+        check_budget(enc.n * max(len(cands[c]) for c in comp)
+                     if by_messages and by_max
                      else prod(len(cands[c]) for c in comp))
     columns = [enc.columns(ix) for ix in constraints.indices]
 
@@ -287,23 +280,24 @@ def _resolve(d: Discourse, constraints: DrsConstraints, enc: EncodingMatrix,
             closed.append(contract_operands(s, enc, verbs).reshape(()))
             continue
         i = comp_of[cls[0]]
-        verb = enc.verb(verbs, s.verb)
         if len(cls) == 2 and cls[0] == cls[1]:
             col = columns[cls.pop()]
-            factor = sr.sum(sr.mul(col, sr.matmul(verb, col)), axis=0)
+            factor = sr.sum(sr.mul(col, sr.matmul(enc.verb(verbs, s.verb),
+                                                  col)), axis=0)
         elif not messages[i] or (len(cls) == 1 and not by_max):
             factor = contract_operands(s, enc, verbs, candidates)
             if len(cls) == 2 and cls[0] > cls[1]:
                 factor = factor.T
         elif len(cls) == 2:
+            verb = enc.verb(verbs, s.verb)
             edges[cls[0]].append((cls[1], verb, True))
             edges[cls[1]].append((cls[0], verb, False))
             continue
         else:
             # The closed side's noun vector is a message from a held leaf.
             held = s.subject if s.b else s.object
-            factor = _receive(sr, _noun_array(held, enc, verbs), verb, s.b,
-                              columns[cls[0]])
+            factor = _receive(sr, _noun_array(held, enc, verbs),
+                              enc.verb(verbs, s.verb), s.b, columns[cls[0]])
         if not messages[i]:
             factors[i].append((cls, factor))
         else:
@@ -347,13 +341,10 @@ def _resolve(d: Discourse, constraints: DrsConstraints, enc: EncodingMatrix,
 def _first(sr, values: np.ndarray, rest, goal) -> int:
     """Flat position of the first entry with values (x) rest == goal, where
     goal = M (x) rest for the largest value M; the first M when there is no
-    rest.  Under a max (+), (x) is min or and, and every value is at most
-    M, so the test is values >= goal."""
+    rest."""
     if rest is None:
         return int(values.argmax())
-    hits = sr.mul(values, rest) == goal if sr.name == "nonneg-real" \
-        else values >= goal
-    return int(hits.argmax())
+    return int((sr.mul(values, rest) == goal).argmax())
 
 
 def _belief(sr, target: int, fixed: dict[int, int], own, edges,
@@ -396,7 +387,12 @@ def _belief(sr, target: int, fixed: dict[int, int], own, edges,
 def _receive(sr, m: np.ndarray, verb: np.ndarray, from_subject,
              columns: np.ndarray) -> np.ndarray:
     """What candidates C receive from the n-vector m across a sentence with
-    verb V: E[:, C]^T.V.m, or (m^T.V).E[:, C] when m is on the subject side."""
+    verb V: E[:, C]^T.V.m, or (m^T.V).E[:, C] when m is on the subject side.
+
+    Each product is one broadcast and one reduction, not a
+    ``Semiring.matmul``: its dispatch costs 1-2 us a call, and in paired
+    runs the matmul form was slower end to end (BENCH_messages.json,
+    "broadcasts")."""
     w = sr.sum(sr.mul(m[:, None], verb), axis=0) if from_subject \
         else sr.sum(sr.mul(verb, m), axis=1)
     return sr.sum(sr.mul(columns, w[:, None]), axis=0)

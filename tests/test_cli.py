@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discoquery import (MatchingFunction, build_verb_matrix, by_name,
+from discoquery import (EncodingMatrix, MatchingFunction,
+                        build_verb_matrix, by_name,
                         load_embeddings, load_kg, parse_discourse,
                         resolution_scalar)
 from discoquery import matrix as matrix_mod
@@ -277,6 +278,51 @@ def test_resolve_checks_budget_before_contracting(capsys, tmp_path,
     want = resolution_scalar(parse_discourse(text, vocab), mu, enc,
                              build_verb_matrix(enc, graph))
     assert got["score"] == format_scalar(sr, want, json_mode=True)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("text, held", [("he r0 him .", True),
+                                        ("he r0 e0 .", False)],
+                         ids=["tree", "one-class"])
+@pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])
+def test_resolve_checks_message_budget_before_gathering(
+        capsys, tmp_path, monkeypatch, semiring, text, held, n):
+    """Against a budget of 65,536: "he r0 him ." with its first class held
+    to two candidates and its second over all 2,000 entities, and the one
+    class of "he r0 e0 ." over all 2,000.  Boolean and fuzzy resolve both
+    by messages, checked at n |C|: 64,000 at n = 32, which answers, and
+    66,000 at n = 33, which exits 3 with one error line before any columns
+    are taken.  Reals take a 4,000-scalar table, or their one class at
+    |C| = 2,000, and answer at both n.  Every contraction starts from
+    ``EncodingMatrix.columns``, so the calls to it are recorded; a
+    traced-peak bound would not show the order here, as loading the n = 33
+    fuzzy embedding alone peaks past 6x the budget's float64 bytes."""
+    ne, budget = 2000, 1 << 16
+    want = 3 if n == 33 and semiring != "real" else 0
+    rng = np.random.default_rng(53)
+    kg, emb = tmp_path / "kg.tsv", tmp_path / "emb.tsv"
+    cons = tmp_path / "held.constraints"
+    kg.write_text("".join(f"e{i}\tr0\te{(7 * i + 1) % ne}\n"
+                          for i in range(ne)))
+    emb.write_text("".join(f"e{i}\t{','.join(f'{x:.2f}' for x in row)}\n"
+                           for i, row in enumerate(rng.random((ne, n)))))
+    cons.write_text("candidates: 0 e0 e1\n")
+    taken = []
+    columns = EncodingMatrix.columns
+
+    def recorded(self, cands):
+        taken.append(cands)
+        return columns(self, cands)
+
+    monkeypatch.setattr(EncodingMatrix, "columns", recorded)
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", budget)
+    code, out, err = run(capsys, [
+        "resolve", "--kg", str(kg), "--embeddings", str(emb), "--semiring",
+        semiring, *(["--constraints", str(cons)] if held else []), text])
+    assert code == want, err
+    if want:
+        assert out == "" and taken == []
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("semiring", ["boolean", "fuzzy"])
