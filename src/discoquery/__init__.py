@@ -13,8 +13,7 @@ from .semantics import (AtomicSentence, Discourse, EntityNP, PronounNP,
                         RestrictedNP, eval_sentence, load_lemmas,
                         noun_vector, parse_discourse, parse_sentence,
                         sentence_effect)
-from .questions import (ObjectWhom, SubjectWho, WhoWhom, ask, parse_question,
-                        question_effect, rank_answers)
+from .questions import ask, parse_question, rank_answers
 from .resolution import (DrsConstraints, MatchingFunction,
                          default_constraints, enumerate_matchings,
                          load_constraints, make_constraints,

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Session:
-    def __init__(self, args):
+    def __init__(self, args, verbs: bool = True):
         self.sr = sr_mod.by_name(args.semiring)
         self.vocab, self.kg = load_kg(args.kg)
         if args.embeddings:
@@ -75,7 +75,8 @@ class _Session:
             self.enc = identity_encoding(self.vocab, self.sr)
         if args.normalize:
             self.enc = normalize_l1(self.enc)
-        self.verbs = build_verb_matrix(self.enc, self.kg)
+        # similarity reads two encoding columns and no verb matrix
+        self.verbs = build_verb_matrix(self.enc, self.kg) if verbs else None
         self.lemmas = load_lemmas(args.lemmas) if args.lemmas else None
 
 
@@ -117,8 +118,7 @@ def cmd_resolve(args) -> int:
     else:
         constraints = default_constraints(d.k, ses.vocab)
     if args.all:
-        scored = score_all_matchings(d, constraints, ses.enc, ses.verbs,
-                                     ses.vocab)
+        scored = score_all_matchings(d, constraints, ses.enc, ses.verbs)
         if args.json:
             print(json.dumps({"matchings": [
                 {"assignment": [ses.vocab.entities[e] for e in mu.assignment],
@@ -167,7 +167,7 @@ def cmd_emit_sparql(args) -> int:
 
 def cmd_similarity(args) -> int:
     from .encoding import similarity
-    ses = _Session(args)
+    ses = _Session(args, verbs=False)
     for name in (args.entity1, args.entity2):
         if name not in ses.vocab.entity_index:
             raise DiscoError(f"unknown entity {name!r}")

@@ -12,7 +12,6 @@ from .kb import KnowledgeGraph, Triple, Vocabulary
 from .matrix import (Matrix, cap, check_budget, compose, cup, identity,
                      one_hot_state, scalar_value, spider, tensor, tensor_all,
                      wire_permutation)
-from .questions import ObjectWhom
 from .resolution import MatchingFunction, resolution_scalar
 from .semantics import (AtomicSentence, Discourse, EntityNP, NounPhrase,
                         PronounNP, RestrictedNP)
@@ -85,19 +84,21 @@ def discourse_effect(d: Discourse, enc: EncodingMatrix,
         for s in d.sentences], sr)
 
 
-def object_whom_cap_form(q: ObjectWhom, enc: EncodingMatrix,
+def object_whom_cap_form(s: AtomicSentence, enc: EncodingMatrix,
                          verbs: VerbMatrix) -> Matrix:
-    """Object question wired literally with the "does" cap.
+    """Object question ``NP VERB whom``, wired literally with the "does" cap.
 
     Wires after tensoring who-E, cap, subject and verb states are
     (A, B, C, D, F, G) with cup pairings (A, B), (D, F), (C, G); the cap
     passes the answer wire across the subject into the verb's object slot.
     Dense in n^6, used for cross-checks at small n.
     """
+    if (s.a, s.b) != (0, 1):
+        raise GrammarError("not an object question")
     sr = enc.semiring
     n = enc.n
-    subj = Matrix(sr, (), (n,), _noun(q.subject, enc, verbs).reshape(-1, 1))
-    verb_state = Matrix(sr, (), (n, n), verbs.blocks[q.verb].reshape(-1, 1))
+    subj = Matrix(sr, (), (n,), _noun(s.subject, enc, verbs).reshape(-1, 1))
+    verb_state = Matrix(sr, (), (n, n), verbs.blocks[s.verb].reshape(-1, 1))
     # |E| -> n^6, wire order A B C D F G
     bottom = tensor(tensor(tensor(enc.matrix, cap(n, sr)), subj), verb_state)
     # pair (A, B) off immediately, then reorder (C, D, F, G) to (C, G, D, F)

@@ -1,107 +1,62 @@
-"""Who/whom question effects and answer ranking.
+"""Who/whom questions as sentences with open wires, and answer ranking.
 
-Question grammar (anything else is a parse error):
+Grammar (anything else is a parse error):
 
-    who VERB NP ?
-    who does NP VERB ?
-    who VERB whom ?
+    who VERB NP ?          AtomicSentence(PronounNP(0, "who"), VERB, NP)
+    who does NP VERB ?     AtomicSentence(NP, VERB, PronounNP(0, "whom"))
+    who VERB whom ?        AtomicSentence(PronounNP(0, "who"), VERB,
+                                          PronounNP(1, "whom"))
 
-NP is a pronoun-free noun phrase from the sentence grammar.
+NP is a pronoun-free noun phrase from the sentence grammar.  Each hole is
+an open pronoun wire on E, so a question's effect is ``sentence_effect``
+(wire order subject then object), and the object question is the
+snake-rewritten direct form of the "does"-cap construction,
+``oracles.object_whom_cap_form``, with which it agrees entrywise.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError
 from .kb import Vocabulary
-from .matrix import Matrix
-from .semantics import (AtomicSentence, NounPhrase, PronounNP, _Parser,
-                        contract, eval_sentence, parse_sentence,
-                        sentence_effect)
-
-
-@dataclass(frozen=True)
-class SubjectWho:
-    verb: int
-    object: NounPhrase
-
-
-@dataclass(frozen=True)
-class ObjectWhom:
-    subject: NounPhrase
-    verb: int
-
-
-@dataclass(frozen=True)
-class WhoWhom:
-    verb: int
-
-
-Question = SubjectWho | ObjectWhom | WhoWhom
+from .semantics import (AtomicSentence, PronounNP, _Parser, contract,
+                        eval_sentence, parse_sentence)
 
 
 def parse_question(text: str, vocab: Vocabulary, lemmas=None,
-                   max_clause_depth: int = 1) -> Question:
-    tokens = text.split()
-    p = _Parser(tokens, vocab, lemmas, max_clause_depth)
+                   max_clause_depth: int = 1) -> AtomicSentence:
+    p = _Parser(text.split(), vocab, lemmas, max_clause_depth)
     p.cur.next("who")
     if p.cur.peek() == "does":
         p.cur.next("does")
         subject = p.noun_phrase(allow_pronoun=False)
-        v = p.verb()
-        p.cur.next("?")
-        q: Question = ObjectWhom(subject, v)
+        s = AtomicSentence(subject, p.verb(), PronounNP(0, "whom"))
     else:
         v = p.verb()
         if p.cur.peek() == "whom":
             p.cur.next("whom")
-            p.cur.next("?")
-            q = WhoWhom(v)
+            obj = PronounNP(1, "whom")
         else:
             obj = p.noun_phrase(allow_pronoun=False)
-            p.cur.next("?")
-            q = SubjectWho(v, obj)
+        s = AtomicSentence(PronounNP(0, "who"), v, obj)
+    p.cur.next("?")
     if p.cur.peek() is not None:
         raise GrammarError(f"trailing token {p.cur.peek()!r}", p.cur.pos)
-    return q
-
-
-def _sentence(q: Question) -> AtomicSentence:
-    """A question is a sentence whose holes are open pronoun wires."""
-    if isinstance(q, SubjectWho):
-        return AtomicSentence(PronounNP(0, "who"), q.verb, q.object)
-    if isinstance(q, ObjectWhom):
-        return AtomicSentence(q.subject, q.verb, PronounNP(0, "whom"))
-    if isinstance(q, WhoWhom):
-        return AtomicSentence(PronounNP(0, "who"), q.verb, PronounNP(1, "whom"))
-    raise TypeError(f"not a question: {q!r}")
+    return s
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def question_effect(q: Question, enc: EncodingMatrix,
-                    verbs: VerbMatrix) -> Matrix:
-    """Effect |E| -> 1 (or |E|^2 -> 1 for the two-variable form).
-
-    Wire order for the two-variable form is (subject, object).  The object
-    question is evaluated in its snake-rewritten direct form; the explicit
-    "does"-cap construction, ``oracles.object_whom_cap_form``, agrees with
-    it entrywise.  Raises DomainError (from ``Matrix``) on overflow.
-    """
-    return sentence_effect(_sentence(q), enc, verbs)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def rank_answers(q: Question, enc: EncodingMatrix, verbs: VerbMatrix,
+def rank_answers(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
                  vocab: Vocabulary) -> list[tuple[int, object]]:
-    """All |E| candidates, descending by score, ties by entity ordinal.
-    Raises DomainError if a score overflows."""
-    if isinstance(q, WhoWhom):
+    """All |E| candidates for the one hole of ``s``, descending by score,
+    ties by entity ordinal.  Raises DomainError if a score overflows."""
+    if s.a + s.b == 2:
         raise GrammarError(
             "two-variable question has no single ranking; compile it instead")
-    scores = contract(_sentence(q), enc, verbs).reshape(-1)
+    if s.a + s.b == 0:
+        raise GrammarError("sentence has no question hole to rank")
+    scores = contract(s, enc, verbs).reshape(-1)
     enc.semiring.validate(scores)
     # A stable sort on the negated scores keeps ties in ordinal order.
     order = np.argsort(~scores if scores.dtype == bool else -scores,

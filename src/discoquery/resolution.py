@@ -156,8 +156,7 @@ def _check_constraints(constraints: DrsConstraints, k: int) -> None:
         raise GrammarError("empty candidate set")
 
 
-def enumerate_matchings(constraints: DrsConstraints, k: int,
-                        vocab: Vocabulary):
+def enumerate_matchings(constraints: DrsConstraints, k: int):
     """All constrained matchings, lexicographic over per-class entity choices."""
     _check_constraints(constraints, k)
     slot_class = constraints.slot_class
@@ -192,15 +191,14 @@ def resolution_scalar(d: Discourse, mu: MatchingFunction, enc: EncodingMatrix,
 
 
 def score_all_matchings(d: Discourse, constraints: DrsConstraints,
-                        enc: EncodingMatrix, verbs: VerbMatrix,
-                        vocab: Vocabulary):
+                        enc: EncodingMatrix, verbs: VerbMatrix):
     """Every constrained matching with its scalar, in enumeration order.
 
     Raises BudgetExceeded past the budget, DomainError if a scalar overflows.
     """
     check_budget(prod(map(len, constraints.candidates)))
     return [(mu, resolution_scalar(d, mu, enc, verbs))
-            for mu in enumerate_matchings(constraints, d.k, vocab)]
+            for mu in enumerate_matchings(constraints, d.k)]
 
 
 @np.errstate(over="ignore", invalid="ignore")

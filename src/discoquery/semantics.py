@@ -234,10 +234,12 @@ def contract_operands(s: AtomicSentence, enc: EncodingMatrix,
     return sr.matmul(left.T, sr.matmul(square, right))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sentence_effect(s: AtomicSentence, enc: EncodingMatrix,
                     verbs: VerbMatrix) -> Matrix:
     """Effect |E|^(a+b) -> 1 with wire order subject then object; the
-    budget is checked before contracting."""
+    budget is checked before contracting.  Raises DomainError (from
+    ``Matrix``) on overflow."""
     dom = (enc.vocab.n_entities,) * (s.a + s.b)
     check_budget(prod(dom))
     return Matrix(enc.semiring, dom, (), contract(s, enc, verbs).reshape(1, -1))

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .errors import GrammarError
 from .kb import KnowledgeGraph, Vocabulary
-from .questions import Question, _sentence
 from .resolution import DrsConstraints
-from .semantics import Discourse, NounPhrase, PronounNP, RestrictedNP
+from .semantics import (AtomicSentence, Discourse, NounPhrase, PronounNP,
+                        RestrictedNP)
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ def compile_discourse(d: Discourse, constraints: DrsConstraints | None = None
     return bgp, form
 
 
-def compile_question(q: Question) -> tuple[BasicGraphPattern, QueryForm]:
-    """The question's sentence, its holes open pronoun wires, compiled as a
-    one-sentence discourse that selects every hole."""
-    s = _sentence(q)
+def compile_question(s: AtomicSentence
+                     ) -> tuple[BasicGraphPattern, QueryForm]:
+    """A question, a sentence whose holes are open pronoun wires, compiled
+    as a one-sentence discourse that selects every hole."""
     k = len(s.slots())
     bgp, _ = compile_discourse(Discourse((s,), k))
     return bgp, Select(tuple(range(k)))

@@ -21,9 +21,10 @@ from discoquery import (BOOLEAN, NONNEG_REAL, Triple, build_verb_matrix,
                         kg_contains, load_kg, make_constraints,
                         matching_process_eval, noun_vector,
                         object_whom_cap_form, one_hot_state, parse_discourse,
-                        parse_question, parse_sentence, question_effect,
-                        rank_answers, resolution_scalar, resolve_argmax,
-                        score_all_matchings, spider, tensor, transpose)
+                        parse_question, parse_sentence, rank_answers,
+                        resolution_scalar, resolve_argmax,
+                        score_all_matchings, sentence_effect, spider, tensor,
+                        transpose)
 from discoquery.kb import KnowledgeGraph
 from discoquery.resolution import MatchingFunction
 from discoquery.semantics import EntityNP, RestrictedNP
@@ -158,8 +159,7 @@ def test_criterion_4_philosophers(philosophers):
     ok = mu == MatchingFunction((leib, leib)) and score == 1.0
     ok &= resolution_scalar(d, MatchingFunction((desc, desc)),
                             enc, verbs) == 0.0
-    scored = score_all_matchings(d, default_constraints(2, vocab), enc, verbs,
-                                 vocab)
+    scored = score_all_matchings(d, default_constraints(2, vocab), enc, verbs)
     winners = {m.assignment for m, s in scored if s == 1.0}
     ok &= len(scored) == 25
     ok &= winners == {(leib, leib), (leib, newt)}
@@ -189,8 +189,8 @@ def test_criterion_5_theorem_equivalence():
             for text, k in templates:
                 d = parse_discourse(text, vocab)
                 assert d.k == k
-                for mu in enumerate_matchings(
-                        default_constraints(k, vocab), k, vocab):
+                for mu in enumerate_matchings(default_constraints(k, vocab),
+                                              k):
                     a = resolution_scalar(d, mu, enc, verbs)
                     b = matching_process_eval(d, mu, enc, verbs)
                     _, c = dense_theorem_check(d, mu, enc, verbs)
@@ -212,7 +212,7 @@ def test_criterion_6_question_duality(philosophers):
         sr = SEMIRINGS[trial % 2]  # boolean and nonneg-real
         enc = random_encoding(vocab, int(rng.integers(1, 4)), sr, rng)
         verbs = build_verb_matrix(enc, kg)
-        direct = question_effect(q, enc, verbs)
+        direct = sentence_effect(q, enc, verbs)
         literal = object_whom_cap_form(q, enc, verbs)
         ok &= entries_close(sr, direct.entries, literal.entries, 1e-12)
     enc, verbs = identity_setup(vocab, kg, BOOLEAN)
@@ -245,8 +245,8 @@ def test_criterion_7_semantics_query_agreement():
             d = parse_discourse(text, vocab)
             cons = default_constraints(d.k, vocab)
             truthy = {mu.assignment
-                      for mu, s in score_all_matchings(d, cons, enc, verbs,
-                                                       vocab) if s}
+                      for mu, s in score_all_matchings(d, cons, enc, verbs)
+                      if s}
             bgp, form = compile_discourse(d, cons)
             rows = set(evaluate_bgp(bgp, form, kg))
             ok &= truthy == rows

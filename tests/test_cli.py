@@ -235,6 +235,26 @@ def test_exit_3_past_each_budget_check(capsys, tmp_path, monkeypatch):
             assert code == want, (budget, extra)
 
 
+def test_similarity_builds_no_verb_matrix(capsys, tmp_path, monkeypatch):
+    """similarity reads two encoding columns, so a budget below the verb
+    build's |R| n^2 does not stop it; ask still builds the verbs and exits
+    3.  Identity: |E|^2 = 25 fits in 49, |R| n^2 = 50 does not; embeddings
+    of n = 2: |R| n^2 = 8 does not fit in 7."""
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("".join(f"{e}\t0.5,0.{i}\n" for i, e in enumerate(
+        ["descartes", "spinoza", "leibniz", "calculus", "newton"])))
+    for budget, extra, want in ((49, [], "1\n"),
+                                (7, ["--embeddings", str(emb)], "0.27\n")):
+        monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", budget)
+        argv = ["--kg", KG, *extra]
+        code, out, err = run(capsys, ["similarity", *argv, "spinoza",
+                                      "leibniz" if extra else "spinoza"])
+        assert (code, out, err) == (0, want, "")
+        code, out, err = run(capsys, ["ask", *argv,
+                                      "leibniz discovered calculus ."])
+        assert code == 3 and not out and err.startswith("error:")
+
+
 @pytest.mark.parametrize("semiring", ["boolean", "real", "fuzzy"])
 def test_resolve_checks_budget_before_contracting(capsys, tmp_path,
                                                   monkeypatch, semiring):

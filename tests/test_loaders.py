@@ -279,6 +279,31 @@ def test_oracles_import_boundary():
             assert "oracles" not in names, path.name
 
 
+def test_every_parameter_is_read():
+    """Each parameter of each function in the package is read in its body
+    (a closure counts).  Dunder protocol methods, whose signature the
+    protocol fixes, are exempt.  resolve_argmax and rank_answers keep a
+    vocab they do not read, because the benchmark's query stages
+    (perfbench/kinds.py) pass it by position."""
+    allowed = {("resolve_argmax", "vocab"), ("rank_answers", "vocab")}
+    unread = set()
+    package = Path(discoquery.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            a = fn.args
+            params = [p for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            unread |= {(fn.name, p.arg) for p in params
+                       if p.arg not in read}
+    assert unread == allowed
+
+
 @pytest.mark.parametrize("text, line", [
     ("a\tr\tb\nhe\tr\tb\n", 2),
     ("a\tr\tb\n# that\n\nb\tthat\tc\n", 4),

@@ -161,10 +161,10 @@ def test_rank_path_against_float_oracles():
                 assert mu.assignment == (want_e,) * d.k
                 assert same_bytes(score, scores[want_e])
                 continue
-            scored = score_all_matchings(d, cons, enc, verbs, vocab)
+            scored = score_all_matchings(d, cons, enc, verbs)
             best = None
             for (mu_i, got_i), mu_o in zip(
-                    scored, enumerate_matchings(cons, d.k, vocab)):
+                    scored, enumerate_matchings(cons, d.k)):
                 want_i = oracle.scalar(d, mu_o.assignment)
                 assert mu_i == mu_o and same_bytes(got_i, want_i)
                 if best is None or want_i > best[1]:
@@ -226,7 +226,7 @@ def test_fuzzy_queries_multiply_integers(tmp_path, monkeypatch, capsys):
     enc = load_embeddings(emb, vocab, FUZZY)
     verbs = build_verb_matrix(enc, graph)
     d = parse_discourse("he r0 him . she r1 e2 .", vocab)
-    for mu in enumerate_matchings(make_constraints(d.k, vocab), d.k, vocab):
+    for mu in enumerate_matchings(make_constraints(d.k, vocab), d.k):
         resolution_scalar(d, mu, enc, verbs)
     capsys.readouterr()
     assert len(operands) > 100

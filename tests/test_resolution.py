@@ -24,7 +24,7 @@ SPINOZA = "spinoza influenced him . he discovered calculus ."
 def test_enumerate_unconstrained(philosophers):
     vocab, _ = philosophers
     cons = default_constraints(2, vocab)
-    mus = list(enumerate_matchings(cons, 2, vocab))
+    mus = list(enumerate_matchings(cons, 2))
     assert len(mus) == 25
     assert mus[0] == MatchingFunction((0, 0))
     assert mus[1] == MatchingFunction((0, 1))
@@ -34,7 +34,7 @@ def test_enumerate_unconstrained(philosophers):
 def test_enumerate_coreferent(philosophers):
     vocab, _ = philosophers
     cons = make_constraints(2, vocab, coref=[(0, 1)])
-    mus = list(enumerate_matchings(cons, 2, vocab))
+    mus = list(enumerate_matchings(cons, 2))
     assert mus == [MatchingFunction((e, e)) for e in range(5)]
 
 
@@ -43,7 +43,7 @@ def test_enumerate_candidate_restriction(philosophers):
     cons = make_constraints(2, vocab,
                             candidates={0: [vocab.entity_index["leibniz"],
                                             vocab.entity_index["newton"]]})
-    mus = list(enumerate_matchings(cons, 2, vocab))
+    mus = list(enumerate_matchings(cons, 2))
     assert len(mus) == 2 * vocab.n_entities
 
 
@@ -51,7 +51,7 @@ def test_enumerate_rejects_bad_partition(philosophers):
     vocab, _ = philosophers
     bad = DrsConstraints(((0,),), ((0,),))
     with pytest.raises(GrammarError, match="partition"):
-        list(enumerate_matchings(bad, 2, vocab))
+        list(enumerate_matchings(bad, 2))
 
 
 def test_unconstrained_scores(philosophers):
@@ -59,8 +59,7 @@ def test_unconstrained_scores(philosophers):
     vocab, kg = philosophers
     enc, verbs = identity_setup(vocab, kg, NONNEG_REAL)
     d = parse_discourse(SPINOZA, vocab)
-    scored = score_all_matchings(d, default_constraints(2, vocab), enc, verbs,
-                                 vocab)
+    scored = score_all_matchings(d, default_constraints(2, vocab), enc, verbs)
     assert len(scored) == 25
     leib = vocab.entity_index["leibniz"]
     newt = vocab.entity_index["newton"]
@@ -182,7 +181,8 @@ def test_argmax_matches_brute_force_random(sr, monkeypatch):
     reassociation.  Boolean and fuzzy SHAPES check which form each takes:
     messages for trees of classes, a table for a multi-edge or a cycle.
     Boolean draws 4-8 triples a relation and 30 % true bits; denser draws
-    make nearly every verb block all true and every score true."""
+    make nearly every verb block all true and every score true.  A last
+    case, built by hand, has a leaf's unary factor decide the matching."""
     rng = np.random.default_rng(29)
     texts = [
         "e0 r0 him . he r1 e1 .",
@@ -196,6 +196,28 @@ def test_argmax_matches_brute_force_random(sr, monkeypatch):
     belief = resolution._belief
     monkeypatch.setattr(resolution, "_belief",
                         lambda *a: beliefs.append(a) or belief(*a))
+
+    def check(d, cons, enc, verbs, tree, case):
+        scored = score_all_matchings(d, cons, enc, verbs)
+        want_mu, want_s = brute_force_argmax(scored)
+        beliefs.clear()
+        got_mu, got_s = resolve_argmax(d, cons, enc, verbs, enc.vocab)
+        if tree is not None and sr is not NONNEG_REAL:
+            assert bool(beliefs) is tree, case
+        assert got_mu == want_mu, case
+        assert type(got_s) is type(want_s), case
+        assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
+        if sr is not NONNEG_REAL:
+            assert float(got_s).hex() == float(want_s).hex(), case
+        assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
+            pytest.approx(float(want_s), rel=1e-9)
+        # Every candidate set spelled out as a tuple takes the gather
+        # path, with the same matching and score as range(|E|).
+        spelled = DrsConstraints(cons.classes, tuple(
+            tuple(c) for c in cons.candidates))
+        assert resolve_argmax(d, spelled, enc, verbs, enc.vocab) == \
+            (got_mu, got_s)
+
     for trial in range(16):
         large = trial >= 10
         ne, n = (rng.integers(40, 61), rng.integers(8, 41)) if large \
@@ -230,26 +252,19 @@ def test_argmax_matches_brute_force_random(sr, monkeypatch):
                                     candidates=candidates)
             if not all(cons.candidates):
                 continue
-            scored = score_all_matchings(d, cons, enc, verbs, vocab)
-            want_mu, want_s = brute_force_argmax(scored)
-            beliefs.clear()
-            got_mu, got_s = resolve_argmax(d, cons, enc, verbs, vocab)
-            case = (text, coref, candidates)
-            if tree is not None and sr is not NONNEG_REAL:
-                assert bool(beliefs) is tree, case
-            assert got_mu == want_mu, case
-            assert type(got_s) is type(want_s), case
-            assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
-            if sr is not NONNEG_REAL:
-                assert float(got_s).hex() == float(want_s).hex(), case
-            assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
-                pytest.approx(float(want_s), rel=1e-9)
-            # Every candidate set spelled out as a tuple takes the gather
-            # path, with the same matching and score as range(|E|).
-            spelled = DrsConstraints(cons.classes, tuple(
-                tuple(c) for c in cons.candidates))
-            assert resolve_argmax(d, spelled, enc, verbs, vocab) == \
-                (got_mu, got_s)
+            check(d, cons, enc, verbs, tree, (text, coref, candidates))
+
+    # "he" reaches e2 from e0 and e3 from e1 by r0, and only e3 meets the
+    # leaf's unary factor "him r1 e4": without that factor the first best
+    # "he" would be e0, with it the only true matching is (e1, e3, e3).
+    vocab = Vocabulary.from_lists([f"e{i}" for i in range(5)], ["r0", "r1"])
+    kg = KnowledgeGraph([Triple(0, 0, 2), Triple(1, 0, 3), Triple(3, 1, 4)])
+    enc, verbs = identity_setup(vocab, kg, sr)
+    d = parse_discourse("he r0 him . him r1 e4 .", vocab)
+    cons = make_constraints(d.k, vocab, coref=[(1, 2)])
+    check(d, cons, enc, verbs, True, "leaf unary")
+    assert resolve_argmax(d, cons, enc, verbs, vocab)[0] == \
+        MatchingFunction((1, 3, 3))
 
 
 @pytest.mark.parametrize("sr", [BOOLEAN, NONNEG_REAL, FUZZY])
@@ -262,7 +277,7 @@ def test_argmax_zero_score_takes_first_matching(sr):
     d = parse_discourse("he s c . c s him .", vocab)
     cons = default_constraints(2, vocab)
     mu, score = resolve_argmax(d, cons, enc, verbs, vocab)
-    first_mu, first_s = score_all_matchings(d, cons, enc, verbs, vocab)[0]
+    first_mu, first_s = score_all_matchings(d, cons, enc, verbs)[0]
     assert mu == first_mu == MatchingFunction((0, 0))
     assert score == first_s == sr.zero
 
@@ -286,7 +301,7 @@ def test_argmax_factorization_independent_classes(philosophers):
                         vocab)
     cons = default_constraints(2, vocab)  # slots in different sentences
     mu, score = resolve_argmax(d, cons, enc, verbs, vocab)
-    scored = score_all_matchings(d, cons, enc, verbs, vocab)
+    scored = score_all_matchings(d, cons, enc, verbs)
     want_mu, want_s = brute_force_argmax(scored)
     assert float(score) == float(want_s)
     assert mu == want_mu
@@ -301,7 +316,7 @@ def test_matching_process_eval_agrees(sr):
         verbs = build_verb_matrix(enc, kg)
         d = parse_discourse("he r0 him . e0 r1 him .", vocab)
         for mu in enumerate_matchings(default_constraints(d.k, vocab),
-                                      d.k, vocab):
+                                      d.k):
             a = resolution_scalar(d, mu, enc, verbs)
             b = matching_process_eval(d, mu, enc, verbs)
             assert sr.close(a, b, rtol=1e-12)
@@ -319,8 +334,7 @@ def test_oracles_catch_a_swapped_contraction(sr, monkeypatch):
                          Triple(2, 1, 1)])
     enc, verbs = identity_setup(vocab, kg, sr)
     d = parse_discourse("he r0 him . a r1 him .", vocab)
-    mus = list(enumerate_matchings(default_constraints(d.k, vocab), d.k,
-                                   vocab))
+    mus = list(enumerate_matchings(default_constraints(d.k, vocab), d.k))
     true = [resolution_scalar(d, mu, enc, verbs) for mu in mus]
     contract_operands = semantics.contract_operands
 
@@ -347,7 +361,7 @@ def test_dense_theorem_check(sr):
         verbs = build_verb_matrix(enc, kg)
         d = parse_discourse("he r0 him . e0 r1 him .", vocab)
         for mu in enumerate_matchings(default_constraints(d.k, vocab),
-                                      d.k, vocab):
+                                      d.k):
             sparse, dense = dense_theorem_check(d, mu, enc, verbs)
             assert sr.close(sparse, dense, rtol=1e-12)
 
