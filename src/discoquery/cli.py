@@ -13,7 +13,7 @@ import sys
 
 from . import semiring as sr_mod
 from .encoding import (build_verb_matrix, identity_encoding, load_embeddings,
-                       normalize_l1)
+                       normalize_l1, similarity)
 from .errors import BudgetExceeded, DiscoError
 from .kb import load_kg
 from .questions import parse_question, rank_answers
@@ -31,32 +31,45 @@ def format_scalar(sr, value, json_mode: bool = False):
     return format(float(value), ".6g")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kg", required=True, metavar="FILE")
-    common.add_argument("--embeddings", metavar="FILE")
-    common.add_argument("--semiring", choices=["boolean", "real", "fuzzy"],
-                        default="real")
-    common.add_argument("--lemmas", metavar="FILE")
-    common.add_argument("--constraints", metavar="FILE")
-    common.add_argument("--normalize", action="store_true")
-    common.add_argument("--prefix", default=DEFAULT_PREFIX, metavar="IRI")
-    common.add_argument("--all", action="store_true",
-                        help="resolve: print every matching scored")
-    common.add_argument("--json", action="store_true")
+# Every flag, in usage order; each command takes those it reads.
+_FLAGS = {
+    "--kg": dict(required=True, metavar="FILE"),
+    "--embeddings": dict(metavar="FILE"),
+    "--semiring": dict(choices=["boolean", "real", "fuzzy"], default="real"),
+    "--lemmas": dict(metavar="FILE"),
+    "--constraints": dict(metavar="FILE"),
+    "--normalize": dict(action="store_true"),
+    "--prefix": dict(default=DEFAULT_PREFIX, metavar="IRI"),
+    "--all": dict(action="store_true", help="print every matching scored"),
+    "--json": dict(action="store_true"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discoquery",
         description="Evaluate sentences, questions and anaphoric discourses "
                     "against a knowledge graph; compile them to SPARQL.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-            ("ask", "truth value of a declarative sentence"),
-            ("rank", "rank answers to a who/whom question"),
-            ("resolve", "resolve pronouns by constrained argmax"),
-            ("emit-sparql", "compile a discourse or question to SPARQL"),
-            ("similarity", "inner product of two entity encodings")]:
-        p = sub.add_parser(name, parents=[common], help=help_)
+    encoded = "--kg --embeddings --semiring --normalize --lemmas --json"
+    for name, run, help_, flags in [
+            ("ask", cmd_ask, "truth value of a declarative sentence", encoded),
+            ("rank", cmd_rank, "rank answers to a who/whom question", encoded),
+            ("resolve", cmd_resolve, "resolve pronouns by constrained argmax",
+             encoded + " --constraints --all"),
+            # emit-sparql prints SPARQL either way; it takes --json so that
+            # one argv, --kg FILE --json TEXT, runs every text command.
+            ("emit-sparql", cmd_emit_sparql,
+             "compile a discourse or question to SPARQL",
+             "--kg --lemmas --constraints --prefix --json"),
+            ("similarity", cmd_similarity,
+             "inner product of two entity encodings",
+             "--kg --embeddings --semiring --normalize --json")]:
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
+        for flag, kwargs in _FLAGS.items():
+            if flag in flags.split():
+                p.add_argument(flag, **kwargs)
         if name == "similarity":
             p.add_argument("entity1")
             p.add_argument("entity2")
@@ -65,135 +78,127 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Session:
-    def __init__(self, args, verbs: bool = True):
-        self.sr = sr_mod.by_name(args.semiring)
-        self.vocab, self.kg = load_kg(args.kg)
-        if args.embeddings:
-            self.enc = load_embeddings(args.embeddings, self.vocab, self.sr)
-        else:
-            self.enc = identity_encoding(self.vocab, self.sr)
-        if args.normalize:
-            self.enc = normalize_l1(self.enc)
-        # similarity reads two encoding columns and no verb matrix
-        self.verbs = build_verb_matrix(self.enc, self.kg) if verbs else None
-        self.lemmas = load_lemmas(args.lemmas) if args.lemmas else None
+def _load(args):
+    """(semiring, vocabulary, KG, encoding) as the encoding flags set."""
+    sr = sr_mod.by_name(args.semiring)
+    vocab, kg = load_kg(args.kg)
+    enc = (load_embeddings(args.embeddings, vocab, sr) if args.embeddings
+           else identity_encoding(vocab, sr))
+    return sr, vocab, kg, normalize_l1(enc) if args.normalize else enc
 
 
-def _read_text(args) -> str:
-    return sys.stdin.read() if args.text == "-" else args.text
+def _input(args) -> tuple[str, dict | None]:
+    """The lemmas, then the text: the operand, or stdin read as UTF-8."""
+    lemmas = load_lemmas(args.lemmas) if args.lemmas else None
+    if args.text != "-":
+        return args.text, lemmas
+    stdin = getattr(sys.stdin, "buffer", None)
+    if stdin is None:  # a text stream swapped in for sys.stdin
+        return sys.stdin.read(), lemmas
+    try:
+        return stdin.read().decode("utf-8"), lemmas
+    except UnicodeDecodeError:
+        raise DiscoError("stdin is not valid UTF-8") from None
 
 
-def cmd_ask(args) -> int:
-    ses = _Session(args)
-    value = eval_sentence(
-        parse_sentence(_read_text(args), ses.vocab, ses.lemmas),
-        ses.enc, ses.verbs)
-    if args.json:
-        print(json.dumps({"scalar": format_scalar(ses.sr, value, True)}))
-    else:
-        print(format_scalar(ses.sr, value))
+def _constraints(args, d, vocab):
+    return (load_constraints(args.constraints, d.k, vocab) if args.constraints
+            else default_constraints(d.k, vocab))
+
+
+def _print_scalar(sr, value, json_mode: bool) -> int:
+    print(json.dumps({"scalar": format_scalar(sr, value, True)}) if json_mode
+          else format_scalar(sr, value))
     return 0
 
 
+def cmd_ask(args) -> int:
+    sr, vocab, kg, enc = _load(args)
+    verbs = build_verb_matrix(enc, kg)
+    text, lemmas = _input(args)
+    value = eval_sentence(parse_sentence(text, vocab, lemmas), enc, verbs)
+    return _print_scalar(sr, value, args.json)
+
+
 def cmd_rank(args) -> int:
-    ses = _Session(args)
-    q = parse_question(_read_text(args), ses.vocab, ses.lemmas)
-    ranked = rank_answers(q, ses.enc, ses.verbs, ses.vocab)
+    sr, vocab, kg, enc = _load(args)
+    verbs = build_verb_matrix(enc, kg)
+    text, lemmas = _input(args)
+    ranked = rank_answers(parse_question(text, vocab, lemmas), enc, verbs,
+                          vocab)
     if args.json:
         print(json.dumps({"ranking": [
-            {"entity": ses.vocab.entities[e],
-             "score": format_scalar(ses.sr, v, True)} for e, v in ranked]}))
+            {"entity": vocab.entities[e],
+             "score": format_scalar(sr, v, True)} for e, v in ranked]}))
     else:
         for e, v in ranked:
-            print(f"{ses.vocab.entities[e]}\t{format_scalar(ses.sr, v)}")
+            print(f"{vocab.entities[e]}\t{format_scalar(sr, v)}")
     return 0
 
 
 def cmd_resolve(args) -> int:
-    ses = _Session(args)
-    d = parse_discourse(_read_text(args), ses.vocab, ses.lemmas)
-    if args.constraints:
-        constraints = load_constraints(args.constraints, d.k, ses.vocab)
-    else:
-        constraints = default_constraints(d.k, ses.vocab)
+    sr, vocab, kg, enc = _load(args)
+    verbs = build_verb_matrix(enc, kg)
+    text, lemmas = _input(args)
+    d = parse_discourse(text, vocab, lemmas)
+    constraints = _constraints(args, d, vocab)
     if args.all:
-        scored = score_all_matchings(d, constraints, ses.enc, ses.verbs)
+        scored = score_all_matchings(d, constraints, enc, verbs)
         if args.json:
             print(json.dumps({"matchings": [
-                {"assignment": [ses.vocab.entities[e] for e in mu.assignment],
-                 "score": format_scalar(ses.sr, v, True)}
+                {"assignment": [vocab.entities[e] for e in mu.assignment],
+                 "score": format_scalar(sr, v, True)}
                 for mu, v in scored]}))
         else:
             for mu, v in scored:
-                names = [ses.vocab.entities[
-                    mu.assignment[members[0]]] for members in constraints.classes]
-                print("\t".join(names + [format_scalar(ses.sr, v)]))
+                names = [vocab.entities[mu.assignment[members[0]]]
+                         for members in constraints.classes]
+                print("\t".join(names + [format_scalar(sr, v)]))
         return 0
-    mu, score = resolve_argmax(d, constraints, ses.enc, ses.verbs, ses.vocab)
+    mu, score = resolve_argmax(d, constraints, enc, verbs, vocab)
     if args.json:
         print(json.dumps({
             "classes": [
                 {"slot": members[0],
-                 "entity": ses.vocab.entities[mu.assignment[members[0]]]}
+                 "entity": vocab.entities[mu.assignment[members[0]]]}
                 for members in constraints.classes],
-            "score": format_scalar(ses.sr, score, True)}))
+            "score": format_scalar(sr, score, True)}))
     else:
-        for members in constraints.classes:
-            slot = members[0]
-            print(f"{slot}\t{ses.vocab.entities[mu.assignment[slot]]}")
-        print(f"score\t{format_scalar(ses.sr, score)}")
+        for slot, *_ in constraints.classes:
+            print(f"{slot}\t{vocab.entities[mu.assignment[slot]]}")
+        print(f"score\t{format_scalar(sr, score)}")
     return 0
 
 
 def cmd_emit_sparql(args) -> int:
     # Compiling needs the vocabulary only, not the encoding or verb matrix.
     vocab, _ = load_kg(args.kg)
-    lemmas = load_lemmas(args.lemmas) if args.lemmas else None
-    text = _read_text(args)
-    if text.split() and text.split()[0] == "who":
-        q = parse_question(text, vocab, lemmas)
-        bgp, form = compile_question(q)
+    text, lemmas = _input(args)
+    if text.split()[:1] == ["who"]:
+        bgp, form = compile_question(parse_question(text, vocab, lemmas))
     else:
         d = parse_discourse(text, vocab, lemmas)
-        if args.constraints:
-            constraints = load_constraints(args.constraints, d.k, vocab)
-        else:
-            constraints = default_constraints(d.k, vocab)
-        bgp, form = compile_discourse(d, constraints)
+        bgp, form = compile_discourse(d, _constraints(args, d, vocab))
     sys.stdout.write(emit_sparql(bgp, form, vocab, args.prefix))
     return 0
 
 
 def cmd_similarity(args) -> int:
-    from .encoding import similarity
-    ses = _Session(args, verbs=False)
+    # Two encoding columns: no verb matrix, lemmas or text.
+    sr, vocab, _, enc = _load(args)
     for name in (args.entity1, args.entity2):
-        if name not in ses.vocab.entity_index:
+        if name not in vocab.entity_index:
             raise DiscoError(f"unknown entity {name!r}")
-    value = similarity(ses.enc, ses.vocab.entity_index[args.entity1],
-                       ses.vocab.entity_index[args.entity2])
-    if args.json:
-        print(json.dumps({"scalar": format_scalar(ses.sr, value, True)}))
-    else:
-        print(format_scalar(ses.sr, value))
-    return 0
-
-
-_COMMANDS = {
-    "ask": cmd_ask,
-    "rank": cmd_rank,
-    "resolve": cmd_resolve,
-    "emit-sparql": cmd_emit_sparql,
-    "similarity": cmd_similarity,
-}
+    value = similarity(enc, vocab.entity_index[args.entity1],
+                       vocab.entity_index[args.entity2])
+    return _print_scalar(sr, value, args.json)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -215,14 +215,14 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     pronouns of two classes is an edge between them.  A component's
     maximum M_c comes from one of two forms:
 
-    - Messages (``_belief``), when the component has one class, or when
-      (+) is max (boolean, fuzzy) and its edges form a tree over its
-      classes.  No table is built, and a class costs O(n^2 + n |C|) a pass.
-    - A table otherwise (reals; two edges on one class pair, or a longer
-      cycle): the semiring product of the component's sentence
-      contractions, each pronoun wire on its class's candidate columns
-      E[:, C], axes in class order, of prod |C_c| scalars; M_c is its
-      largest entry.
+    - Messages (``_belief``), when (+) is max (boolean, fuzzy) and the
+      component's edges form a tree over its classes (one class is a
+      tree).  No table is built, and a class costs O(n^2 + n |C|) a pass.
+    - A table otherwise (every real component; two edges on one class
+      pair, or a longer cycle): the semiring product of the component's
+      sentence contractions, each pronoun wire on its class's candidate
+      columns E[:, C], axes in class order, of prod |C_c| scalars; M_c is
+      its largest entry.
 
     The score is closed (x) M_1 (x) ... (x) M_m, with closed the product of
     the pronoun-free sentences.  With rest_c the product of closed and the
@@ -242,9 +242,9 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     Raises BudgetExceeded, before any contraction, if a component would
     exceed the budget: under a max (+), n |C| scalars for each class of a
     message component (its columns, and each temporary of a message it
-    sends or receives); prod |C_c| for a table, or for a real class on its
-    own; and DomainError if the score overflows (an inf entry, or the nan
-    of inf times zero, leaves the score non-finite).
+    sends or receives); prod |C_c| for a table; and DomainError if the
+    score overflows (an inf entry, or the nan of inf times zero, leaves the
+    score non-finite).
     """
     sr = enc.semiring
     _check_constraints(constraints, d.k)
@@ -257,13 +257,11 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     for cls in classes:
         if len(cls) == 2 and cls[0] != cls[1]:
             n_edges[comp_of[cls[0]]] += 1
-    # Messages for one class, or a tree of classes under a max (+).
-    by_max = sr.name != "nonneg-real"
-    messages = [len(comp) == 1 or (by_max and n_edges[i] == len(comp) - 1)
+    # Messages for a tree of classes (one class is a tree) under a max (+).
+    messages = [sr.name != "nonneg-real" and n_edges[i] == len(comp) - 1
                 for i, comp in enumerate(components)]
     for comp, by_messages in zip(components, messages):
-        check_budget(enc.n * max(len(cands[c]) for c in comp)
-                     if by_messages and by_max
+        check_budget(enc.n * max(len(cands[c]) for c in comp) if by_messages
                      else prod(len(cands[c]) for c in comp))
     columns = [enc.columns(ix) for ix in constraints.indices]
 
@@ -282,7 +280,7 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
             col = columns[cls.pop()]
             factor = sr.sum(sr.mul(col, sr.matmul(enc.verb(verbs, s.verb),
                                                   col)), axis=0)
-        elif not messages[i] or (len(cls) == 1 and not by_max):
+        elif not messages[i]:
             factor = contract_operands(s, enc, verbs, candidates)
             if len(cls) == 2 and cls[0] > cls[1]:
                 factor = factor.T

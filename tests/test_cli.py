@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: output bytes, determinism, and exit codes."""
+import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ from discoquery import (EncodingMatrix, MatchingFunction,
                         load_embeddings, load_kg, parse_discourse,
                         resolution_scalar)
 from discoquery import matrix as matrix_mod
-from discoquery.cli import format_scalar, main
+from discoquery.cli import build_parser, format_scalar, main
 
 from conftest import DATA, GOLDENS, cli_env
 
@@ -391,8 +393,9 @@ def test_exit_2_on_empty_vocabulary(capsys, tmp_path, semiring):
     for argv in (["ask", "a r b ."], ["rank", "who r b ?"],
                  ["resolve", "he r him ."], ["emit-sparql", "he r him ."],
                  ["similarity", "a", "b"]):
-        code, out, err = run(capsys, [argv[0], "--kg", str(kg), "--semiring",
-                                      semiring, *argv[1:]])
+        opts = [] if argv[0] == "emit-sparql" else ["--semiring", semiring]
+        code, out, err = run(capsys, [argv[0], "--kg", str(kg), *opts,
+                                      *argv[1:]])
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: unknown") and err.count("\n") == 1
 
@@ -427,6 +430,118 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ask"])
     assert exc.value.code == 2
+
+
+def _flag_sets():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[0] for a in p._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+_OPERANDS = {
+    "ask": ["leibniz discovered calculus ."],
+    "rank": ["who discovered calculus ?"],
+    "resolve": ["spinoza influenced him . he discovered calculus ."],
+    "emit-sparql": ["spinoza influenced him . he discovered calculus ."],
+    "similarity": ["spinoza", "leibniz"],
+}
+# A value for each flag that takes one; where the flag is refused, unread.
+_VALUES = {"--embeddings": [str(DATA / "catdog.tsv")],
+           "--semiring": ["real"],
+           "--lemmas": [str(DATA / "philosophers.kg")],
+           "--constraints": [str(DATA / "philosophers.constraints")],
+           "--prefix": ["http://ex.org/p#"]}
+
+
+def test_readme_lists_each_commands_flags():
+    """The README's per-command flag table is the parser's: 30 settable
+    values over five commands."""
+    readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (`--.*`) \|$", readme, re.M)
+    table = {cmd: set(re.findall(r"`(--[a-z]+)`", cells))
+             for cmd, cells in rows}
+    assert table == _flag_sets()
+    assert sum(map(len, table.values())) == 30
+
+
+@pytest.mark.parametrize("command", sorted(_OPERANDS))
+def test_each_flag_is_read_or_refused(capsys, tmp_path, command):
+    """Each file flag a command takes is read: a missing path exits 2 with
+    one error line.  Every other flag is an argparse usage error."""
+    taken = _flag_sets()[command]
+    missing = str(tmp_path / "missing")
+    for flag in taken & {"--kg", "--embeddings", "--lemmas",
+                         "--constraints"}:
+        kg = [] if flag == "--kg" else ["--kg", KG]
+        code, out, err = run(capsys, [command, *kg, flag, missing,
+                                      *_OPERANDS[command]])
+        assert (code, out) == (2, ""), flag
+        assert err.startswith("error:") and err.count("\n") == 1
+    for flag in {"--kg", "--embeddings", "--semiring", "--lemmas",
+                 "--constraints", "--normalize", "--prefix", "--all",
+                 "--json"} - taken:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kg", KG, flag, *_VALUES.get(flag, []),
+                  *_OPERANDS[command]])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), flag
+        assert "unrecognized arguments: " + flag in err
+
+
+def test_flags_a_command_does_not_read_are_refused(capsys):
+    """Flags that used to be accepted and ignored are usage errors; the
+    invalid prefix is refused where it is read."""
+    for argv in (
+            ["rank", "--kg", KG, "--all", "--constraints", "/nonexistent",
+             "--prefix", "bad iri", "who discovered calculus ?"],
+            ["emit-sparql", "--kg", KG, "--semiring", "fuzzy",
+             "--embeddings", "/nonexistent", "--normalize", "--all",
+             "who discovered calculus ?"],
+            ["similarity", "--kg", KG, "--lemmas", "/nonexistent",
+             "spinoza", "leibniz"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err
+    code, out, err = run(capsys, ["emit-sparql", "--kg", KG, "--prefix",
+                                  "bad iri", "leibniz discovered calculus ."])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid prefix IRI 'bad iri'\n"
+
+
+def test_emit_sparql_prints_sparql_under_json(capsys):
+    argv = ["emit-sparql", "--kg", KG, "who influenced whom ?"]
+    assert run(capsys, argv + ["--json"]) == run(capsys, argv)
+
+
+def test_verbs_are_built_before_the_text_is_read(capsys, monkeypatch):
+    """ask, rank and resolve build the verbs (|R| n^2 = 50 scalars here)
+    before they load the lemmas and parse the text: past the budget they
+    exit 3 on a missing lemma file and on text that does not parse."""
+    monkeypatch.setattr(matrix_mod, "DEFAULT_BUDGET", 49)
+    for command in ("ask", "rank", "resolve"):
+        for extra in ([], ["--lemmas", "/nonexistent"]):
+            code, out, err = run(capsys, [command, "--kg", KG, *extra,
+                                          "zorro"])
+            assert (code, out) == (3, ""), (command, extra)
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_stdin_not_utf8_exits_2():
+    """Standard input is read as UTF-8 whatever the stream encoding: a
+    stray byte is one error line, not a traceback."""
+    env = {**cli_env(), "PYTHONIOENCODING": "utf-8:strict"}
+    argv = [sys.executable, "-m", "discoquery.cli", "ask", "--kg", KG, "-"]
+    proc = subprocess.run(argv, input=b"leibniz discovered \xff .",
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: stdin is not valid UTF-8\n"
+    proc = subprocess.run(argv, input=b"leibniz discovered calculus .",
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1\n", b"")
 
 
 def test_exit_2_on_query_overflow(tmp_path):
@@ -514,14 +629,17 @@ def huge_embeddings(tmp_path_factory):
 def test_cli_fuzz_exit_codes(huge_embeddings, command, text, semiring,
                              as_json, normalize):
     """Any command on any text exits 0, 2 or 3 and raises nothing else;
-    argparse's usage exit counts as 2."""
-    if semiring == "huge":
+    argparse's usage exit counts as 2.  Each command is given only the
+    flags it takes: emit-sparql takes no encoding flag."""
+    if command == "emit-sparql":
+        opts = []
+    elif semiring == "huge":
         opts = ["--semiring", "real", "--embeddings", huge_embeddings]
     else:
         opts = ["--semiring", semiring]
     if as_json:
         opts.append("--json")
-    if normalize:
+    if normalize and command != "emit-sparql":
         opts.append("--normalize")
     args = (text.split() + ["x", "y"])[:2] if command == "similarity" \
         else [text]
