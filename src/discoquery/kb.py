@@ -1,10 +1,12 @@
 """Ordered vocabulary, triple storage, and KG membership.
 
-KG file format: UTF-8 text, one triple per line as three tab-separated
-tokens ``subject<TAB>verb<TAB>object``.  A line holding a single token
-declares an entity that occurs in no triple.  ``#``-prefixed lines are
-comments; blank lines are ignored.  Entity and relation namespaces must be
-disjoint within a file, and neither may hold a token of ``RESERVED``.
+KG file format: UTF-8 text, lines ending at ``\n``, ``\r\n`` or ``\r`` and
+stripped of Python whitespace (``str.strip``, tab included).  A line holds
+one triple as three tab-separated tokens ``subject<TAB>verb<TAB>object``, or
+one token declaring an entity that occurs in no triple.  ``#``-prefixed lines
+are comments; blank lines are ignored.  Tokens are compared by their UTF-8
+bytes.  Entity and relation namespaces must be disjoint within a file, and
+neither may hold a token of ``RESERVED``.
 """
 from __future__ import annotations
 
@@ -75,14 +77,10 @@ class KnowledgeGraph:
             triples = [(t.s, t.v, t.o) for t in triples]
         spo = np.array(triples, dtype=np.intp).reshape(-1, 3)
         if len(spo):
-            # One int64 key per triple; np.unique's return_index gives each
-            # key's first occurrence, and sorting those keeps file order.
-            ne = int(max(spo[:, 0].max(), spo[:, 2].max())) + 1
-            nr = int(spo[:, 1].max()) + 1
-            key = (spo[:, 0].astype(np.int64) * nr + spo[:, 1]) * ne + spo[:, 2]
-            first = np.unique(key, return_index=True)[1]
+            # Keeping each triple's first row keeps file order.
+            key = np.ravel_multi_index(spo.T, spo.max(axis=0) + 1)
+            first = _first_appearance(_dense(key))[1]
             if len(first) < len(spo):
-                first.sort()
                 spo = spo[first]
         spo.flags.writeable = False
         self.spo = spo
@@ -147,49 +145,91 @@ def _line_error(path, text: str) -> LoadError:
     raise AssertionError("no bad line")
 
 
+#: Bytes that may begin or end a character ``str.strip`` removes.
+_EDGE = np.array([c > 127 or chr(c).isspace() for c in range(256)])
+#: OR-ed into the 8-byte word at byte k of a token, by the bytes left from k
+#: (8 for 8 or more): 0xFF, never in UTF-8, fills the bytes past its end.
+_PAD = np.array([2**64 - 2**(8 * r) for r in range(8)] + [0], dtype=np.uint64)
+
+
+def _dense(keys: np.ndarray) -> np.ndarray:
+    """Ids from 0 up that are equal where the keys are."""
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ids >= 0 by first appearance: each element's new id, and
+    the position of each new id's first element, ascending."""
+    first = np.full(ids.max(initial=-1) + 1, len(ids), dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    is_first = np.zeros(len(ids) + 1, dtype=bool)
+    is_first[first] = True
+    return np.cumsum(is_first)[first[ids]] - 1, np.flatnonzero(is_first[:-1])
+
+
+def _tokens(data: bytes, start: np.ndarray, end: np.ndarray):
+    """First-appearance ids of the tokens ``data[start:end]``, equal where
+    their bytes are, and the distinct names.  A token is its words at 0, 8,
+    ..., 8 * (length // 8), the last padded; ``data`` ends in 8 spare bytes."""
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
+                       strides=(1,))  # words[i]: the 8 bytes from byte i on
+    length = end - start
+    ids = _dense(words[start] | _PAD[np.minimum(length, 8)])
+    long = np.flatnonzero(length >= 8)
+    for k in range(8, int(length.max(initial=0)) + 1, 8):
+        word = _dense(words[start[long] + k]
+                      | _PAD[np.minimum(length[long] - k, 8)])
+        ids[long] = ids.max() + 1 + _dense(ids[long] * (word.max() + 1) + word)
+        long = long[length[long] >= k + 8]
+    ids, first = _first_appearance(ids)
+    return ids, [data[s:e].decode()
+                 for s, e in zip(start[first].tolist(), end[first].tolist())]
+
+
 def load_kg(path) -> tuple[Vocabulary, KnowledgeGraph]:
     """Parse a KG file; vocabulary is ordered by first appearance.
 
-    The checks run on the whole file at once; only when one fails are the
-    lines walked one by one, to name the first bad line.
+    Lines and tokens are cut at newline and tab bytes; Python strips only
+    lines with an ``_EDGE`` byte at an edge and decodes only distinct names.
+    Only a failed whole-file check walks the lines, to name the first bad one.
     """
     with utf8_text(path) as fh:
         raw = fh.read()
-    text = "\n".join(ln for ln in map(str.strip, raw.split("\n"))
-                     if ln and ln[0] != "#")
-    # Tokens per line, from the tab and newline bytes of the UTF-8 text.
-    code = np.frombuffer(text.encode(), dtype=np.uint8)
+    data = raw.encode() + bytes(8)
+    code = np.frombuffer(data, dtype=np.uint8)
     newline = np.flatnonzero(code == 10)
-    width = 1 + np.bincount(np.searchsorted(newline, np.flatnonzero(code == 9)),
-                            minlength=len(newline) + bool(text))
+    start = np.concatenate(([0], newline + 1))
+    end = np.concatenate((newline, [len(data) - 8]))
+    edged = (end > start) & (_EDGE[code[start]] | _EDGE[code[end - 1]])
+    for i in np.flatnonzero(edged).tolist():
+        line = data[start[i]:end[i]].decode()
+        start[i] += len(line[:len(line) - len(line.lstrip())].encode())
+        end[i] = start[i] + len(line.strip().encode())
+    keep = (end > start) & (code[start] != ord("#"))
+    start, end = start[keep], end[keep]
+    tab = np.flatnonzero(code == 9)
+    first_tab = np.searchsorted(tab, start)
+    width = 1 + np.searchsorted(tab, end) - first_tab
     if not ((width == 1) | (width == 3)).all():
         raise _line_error(path, raw)
-    tokens = np.array(text.replace("\n", "\t").split("\t") if text else [],
-                      dtype=object)
-    # Column of each token in its line: an entity line holds one entity, a
-    # triple line subject, relation and object.
-    column = np.arange(len(tokens)) - np.repeat(np.cumsum(width) - width,
-                                                width)
-    ent_tokens = tokens[column != 1].tolist()
-    rel_tokens = tokens[column == 1].tolist()
-    e_index = {e: i for i, e in enumerate(dict.fromkeys(ent_tokens))}
-    r_index = {r: i for i, r in enumerate(dict.fromkeys(rel_tokens))}
+    triple = width == 3
+    tab1, tab2 = tab[first_tab[triple]], tab[first_tab[triple] + 1]
+    # Two entity tokens per line: its first token, then a triple's object
+    # or, on an entity line, its one token again.
+    e_start, e_end = np.repeat(start, 2), np.repeat(end, 2)
+    e_end[0::2][triple], e_start[1::2][triple] = tab1, tab2 + 1
+    ents, entities = _tokens(data, e_start, e_end)
+    rels, relations = _tokens(data, tab1 + 1, tab2)
+    e_index = {e: i for i, e in enumerate(entities)}
+    r_index = {r: i for i, r in enumerate(relations)}
     if ("" in e_index or "" in r_index
             or not e_index.keys().isdisjoint(r_index)
             or not RESERVED.isdisjoint(e_index)
             or not RESERVED.isdisjoint(r_index)):
         raise _line_error(path, raw)
-    ents = np.fromiter(map(e_index.__getitem__, ent_tokens), dtype=np.intp,
-                       count=len(ent_tokens))
-    n_ents = (width + 1) // 2
-    subj = (np.cumsum(n_ents) - n_ents)[width == 3]
-    spo = np.empty((len(rel_tokens), 3), dtype=np.intp)
-    spo[:, 0] = ents[subj]
-    spo[:, 1] = np.fromiter(map(r_index.__getitem__, rel_tokens),
-                            dtype=np.intp, count=len(rel_tokens))
-    spo[:, 2] = ents[subj + 1]
-    vocab = Vocabulary(tuple(e_index), tuple(r_index), e_index, r_index)
-    return vocab, KnowledgeGraph(spo)
+    vocab = Vocabulary(tuple(entities), tuple(relations), e_index, r_index)
+    subj, obj = ents.reshape(-1, 2)[triple].T
+    return vocab, KnowledgeGraph(np.column_stack((subj, rels, obj)))
 
 
 def kg_contains(kg: KnowledgeGraph, t: Triple, semiring: Semiring):

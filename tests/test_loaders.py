@@ -2,11 +2,15 @@
 
 Seeded random files mix comments, blank lines, space and CR padding,
 duplicate triples and entity declarations, and most carry one injected
-fault.  Both loaders must give the same vocabulary, triples and encoding,
-or the same LoadError line and message.
+fault.  A second KG generator pads line edges with every kind of Python
+whitespace, breaks lines at LF, CRLF or a lone CR, and draws names that
+share their first 8 or 16 bytes or hold a NUL.  Both loaders must give the
+same vocabulary, triples and encoding, or the same LoadError line and
+message.
 """
 import ast
 import importlib
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from discoquery import (ALL_SEMIRINGS, BOOLEAN, ask, build_verb_matrix,
                         identity_encoding, load_embeddings, load_kg)
 from discoquery.cli import main
 from discoquery.encoding import EncodingMatrix, VerbMatrix
+from discoquery import kb
 from discoquery.errors import LoadError
 from discoquery.kb import RESERVED, KnowledgeGraph
 from discoquery.matrix import Matrix
@@ -114,20 +119,86 @@ def kg_files(tmp_path):
         yield path, None
 
 
+#: Line-edge padding: Python whitespace, tab included, and U+200B, which
+#: is not whitespace and so stays part of the token.
+EDGE_PADS = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+             "\u2028", "\u3000", "\u200b", " \t\xa0"]
+#: Names sharing their first 8 or 16 bytes, multi-byte names, and NULs.
+EDGE_ENTITIES = ["a", "a\x00", "abcdefgh", "abcdefghi", "abcdefgh\x00",
+                 "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefghijklmnoq",
+                 "é", "ébcdefgh", "日本語の名前", "日本語の名前です", "x\u200b"]
+EDGE_RELATIONS = ["r", "r\x00", "relation-one", "relation-onf",
+                  "relation-one!", "ρέω"]
+
+
+def random_edge_kg_text(rng):
+    """Lines padded at their edges, broken at LF, CRLF or a lone CR, with
+    no final line break one time in three; some carry a KG_FAULTS fault."""
+    lines = []
+    for _ in range(rng.integers(0, 16)):
+        kind = rng.random()
+        if kind < 0.15:
+            lines.append(pick(rng, ["# comment", "#\tr\tb\tc", "", "\u3000"]))
+        elif kind < 0.3:
+            lines.append(pick(rng, EDGE_ENTITIES))
+        else:
+            lines.append("\t".join((pick(rng, EDGE_ENTITIES),
+                                    pick(rng, EDGE_RELATIONS),
+                                    pick(rng, EDGE_ENTITIES))))
+        lines[-1] = pick(rng, EDGE_PADS) + lines[-1] + pick(rng, EDGE_PADS)
+    inject_kg_fault(rng, lines, pick(rng, [None] * 5 + KG_FAULTS[1:-1]))
+    breaks = [pick(rng, ["\n", "\r\n", "\r"]) for _ in lines]
+    if lines and rng.random() < 1 / 3:
+        breaks[-1] = ""
+    return "".join(ln + br for ln, br in zip(lines, breaks))
+
+
+def assert_kg_loaders_agree(p, context):
+    """load_kg gives the reference's vocabulary and triples, or its
+    LoadError line and message; return whether the reference failed."""
+    want = outcome(load_kg_lines, p)
+    got = outcome(load_kg, p)
+    if isinstance(want[1], str):
+        assert got == want, context
+        return True
+    (vocab, kg), (ref_vocab, ref_triples) = got, want
+    assert vocab.entities == ref_vocab.entities
+    assert vocab.relations == ref_vocab.relations
+    assert vocab.entity_index == ref_vocab.entity_index
+    assert vocab.relation_index == ref_vocab.relation_index
+    assert kg.triples == tuple(ref_triples)
+    assert kg.spo.tolist() == [[t.s, t.v, t.o] for t in ref_triples]
+    return False
+
+
 def test_kg_loader_matches_reference(tmp_path):
     for p, fault in kg_files(tmp_path):
-        want = outcome(load_kg_lines, p)
-        got = outcome(load_kg, p)
-        if fault is not None:
-            assert isinstance(want, tuple) and got == want, (fault, p)
-            continue
-        (vocab, kg), (ref_vocab, ref_triples) = got, want
-        assert vocab.entities == ref_vocab.entities
-        assert vocab.relations == ref_vocab.relations
-        assert vocab.entity_index == ref_vocab.entity_index
-        assert vocab.relation_index == ref_vocab.relation_index
-        assert kg.triples == tuple(ref_triples)
-        assert kg.spo.tolist() == [[t.s, t.v, t.o] for t in ref_triples]
+        failed = assert_kg_loaders_agree(p, (fault, p))
+        assert failed == (fault is not None), (fault, p)
+
+
+def test_kg_loader_matches_reference_at_line_edges(tmp_path):
+    """An empty file, a file of comments only, then seeded random files."""
+    rng = np.random.default_rng(22)
+    texts = ["", "# only a comment\n#\ta\tr\tb\r\n\t# indented"]
+    texts += [random_edge_kg_text(rng) for _ in range(400)]
+    p = tmp_path / "edges.kg"
+    loaded = 0
+    for text in texts:
+        p.write_bytes(text.encode())
+        loaded += not assert_kg_loaders_agree(p, text)
+    assert 150 <= loaded < len(texts)
+
+
+def test_strip_edge_bytes_cover_python_whitespace():
+    """load_kg hands a line to str.strip only when an edge byte is in
+    kb._EDGE, so the first and last UTF-8 byte of every character that
+    str.strip removes must be in it."""
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        b = ch.encode()
+        assert kb._EDGE[b[0]] and kb._EDGE[b[-1]], hex(ord(ch))
 
 
 def random_embedding_lines(rng, vocab, n, fault):
