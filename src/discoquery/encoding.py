@@ -13,6 +13,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import semiring as sr_mod
 from .errors import (DomainError, LoadError, SemiringMismatch, ShapeMismatch,
                      VerbOverflow, utf8_text)
 from .kb import KnowledgeGraph, Vocabulary
@@ -27,7 +28,8 @@ _GATHER = 1 << 18
 class EncodingMatrix:
     """Map |E| -> n sending each one-hot entity to its noun-space vector.
     ``entries`` is a read-only (n, |E|) view of the array given, validated
-    once; queries use ``columns``, ``verb`` and ``decode``."""
+    once; queries multiply ``columns`` blocks by the verb products
+    (``verb_*``) and ``product``, and ``decode`` the result."""
     semiring: Semiring
     entries: np.ndarray = field(repr=False)
     vocab: Vocabulary
@@ -73,13 +75,39 @@ class EncodingMatrix:
             return e
         return e.take(cands, axis=1)
 
-    def verb(self, verbs: VerbMatrix, v: int) -> np.ndarray:
-        """Block v of ``verbs.operands``; ValueError if ranked in another
-        value table."""
+    def _block(self, verbs: VerbMatrix, v: int) -> np.ndarray:
         if not (verbs.values is self.operands[0]
                 or np.array_equal(verbs.values, self.operands[0])):
             raise ValueError("verbs built on another encoding's values")
         return verbs.operands[v]
+
+    def verb_object(self, verbs: VerbMatrix, v: int, b: np.ndarray):
+        """V.B, verb v's object wire on the (n, m) operand block B; each verb
+        product raises ValueError on verbs ranked in another value table."""
+        return self.product(self._block(verbs, v), b)
+
+    def verb_subject(self, verbs: VerbMatrix, v: int, b: np.ndarray):
+        """B^T.V: verb v's subject wire contracted with the block B."""
+        return self.product(b.T, self._block(verbs, v))
+
+    def verb_diagonal(self, verbs: VerbMatrix, v: int, c: np.ndarray):
+        """The diagonal of C^T.V.C, both wires of verb v on the same column."""
+        sr = self.semiring
+        return sr.sum(sr.mul(c, self.verb_object(verbs, v, c)), axis=0)
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a.b on operand-form blocks.  Under a max (+), one output row or
+        column within ``semiring._CHUNK`` scalars of temporary is one
+        broadcast and reduction on a contiguous copy of that column; the
+        rest, reals included, is ``Semiring.matmul`` (1-2 us dispatch)."""
+        sr = self.semiring
+        (m, k), n = a.shape, b.shape[1]
+        if sr.name == "nonneg-real" or m > 1 < n or m * k * n > sr_mod._CHUNK:
+            return sr.matmul(a, b)
+        rows, col = (b, a.T) if m == 1 else (a.T, b)
+        out = sr.add.reduce(sr.mul(rows, np.ascontiguousarray(col)), axis=0,
+                            keepdims=True)
+        return out if m == 1 else out.T
 
     def decode(self, arr: np.ndarray) -> np.ndarray:
         """Values of an array in the operand form."""
@@ -98,10 +126,6 @@ class VerbMatrix:
     semiring: Semiring
     operands: np.ndarray = field(repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.operands.shape[1]
 
     @cached_property
     def blocks(self) -> np.ndarray:

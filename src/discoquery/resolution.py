@@ -18,8 +18,7 @@ from .encoding import EncodingMatrix, VerbMatrix
 from .errors import GrammarError, LoadError, utf8_text
 from .kb import Vocabulary
 from .matrix import check_budget, prod
-from .semantics import (Discourse, _noun_array, contract,
-                        contract_operands)
+from .semantics import Discourse, contract, contract_operands
 
 
 @dataclass(frozen=True)
@@ -210,10 +209,11 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     Ties go to the first best matching in ``enumerate_matchings`` order.
 
     Classes are joined into components by the sentences they share.  A
-    sentence with one pronoun, or with two of one class (the diagonal,
-    computed directly), is a unary factor on its class; a sentence with
-    pronouns of two classes is an edge between them.  A component's
-    maximum M_c comes from one of two forms:
+    sentence with one pronoun (its ``contract_operands`` on the class's
+    columns), or with two of one class (``verb_diagonal``), is a unary
+    factor on its class; a sentence with pronouns of two classes is an
+    edge between them.  A component's maximum M_c comes from one of two
+    forms:
 
     - Messages (``_belief``), when (+) is max (boolean, fuzzy) and the
       component's edges form a tree over its classes (one class is a
@@ -265,9 +265,6 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
                      else prod(len(cands[c]) for c in comp))
     columns = [enc.columns(ix) for ix in constraints.indices]
 
-    def candidates(pronoun):
-        return columns[slot_class[pronoun.slot]]
-
     closed, factors = [], [[] for _ in components]
     own = [None] * len(cands)  # product of each class's unary factors
     edges = [[] for _ in cands]
@@ -277,23 +274,16 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
             continue
         i = comp_of[cls[0]]
         if len(cls) == 2 and cls[0] == cls[1]:
-            col = columns[cls.pop()]
-            factor = sr.sum(sr.mul(col, sr.matmul(enc.verb(verbs, s.verb),
-                                                  col)), axis=0)
-        elif not messages[i]:
-            factor = contract_operands(s, enc, verbs, candidates)
+            factor = enc.verb_diagonal(verbs, s.verb, columns[cls.pop()])
+        elif len(cls) == 1 or not messages[i]:
+            factor = contract_operands(s, enc, verbs,
+                                       lambda p: columns[slot_class[p.slot]])
             if len(cls) == 2 and cls[0] > cls[1]:
                 factor = factor.T
-        elif len(cls) == 2:
-            verb = enc.verb(verbs, s.verb)
-            edges[cls[0]].append((cls[1], verb, True))
-            edges[cls[1]].append((cls[0], verb, False))
-            continue
         else:
-            # The closed side's noun vector is a message from a held leaf.
-            held = s.subject if s.b else s.object
-            factor = _receive(sr, _noun_array(held, enc, verbs),
-                              enc.verb(verbs, s.verb), s.b, columns[cls[0]])
+            edges[cls[0]].append((cls[1], s.verb, True))
+            edges[cls[1]].append((cls[0], s.verb, False))
+            continue
         if not messages[i]:
             factors[i].append((cls, factor))
         else:
@@ -303,11 +293,11 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
     tops, maxima = [], []
     for comp, by_messages, table_factors in zip(components, messages,
                                                 factors):
-        top = _belief(sr, comp[0], {}, own, edges, columns) if by_messages \
-            else reduce(sr.mul, [
-                factor.reshape([len(cands[c]) if c in cls else 1
-                                for c in comp])
-                for cls, factor in table_factors])
+        top = (_belief(enc, verbs, comp[0], {}, own, edges, columns)
+               if by_messages else reduce(sr.mul, [
+                   factor.reshape([len(cands[c]) if c in cls else 1
+                                   for c in comp])
+                   for cls, factor in table_factors]))
         tops.append(top)
         maxima.append(top.max())
     best = [0] * len(cands)
@@ -318,8 +308,8 @@ def resolve_argmax(d: Discourse, constraints: DrsConstraints,
         if messages[i]:
             fixed = {comp[0]: _first(sr, tops[i], rest, goal)}
             for c in comp[1:]:
-                fixed[c] = _first(sr, _belief(sr, c, fixed, own, edges,
-                                              columns), rest, goal)
+                fixed[c] = _first(sr, _belief(enc, verbs, c, fixed, own,
+                                              edges, columns), rest, goal)
             for c, pos in fixed.items():
                 best[c] = cands[c][pos]
         else:
@@ -343,7 +333,7 @@ def _first(sr, values: np.ndarray, rest, goal) -> int:
     return int((sr.mul(values, rest) == goal).argmax())
 
 
-def _belief(sr, target: int, fixed: dict[int, int], own, edges,
+def _belief(enc, verbs, target: int, fixed: dict[int, int], own, edges,
             columns) -> np.ndarray:
     """Max-marginal of class ``target`` over its candidates, in the operand
     form, for a tree of classes under a max (+): its own unary factors
@@ -353,42 +343,31 @@ def _belief(sr, target: int, fixed: dict[int, int], own, edges,
     The tree is walked outwards from the target; then each class, leaves
     first, sends its parent the n-vector m = (+)_j b[j] (x) E[:, C[j]], where
     b is its own factors times the messages it has received (one column if
-    the class is fixed).  On an edge with verb V, the parent's candidates
-    receive E[:, C_p]^T.V.m when the sender is the sentence's object, and
-    (m^T.V).E[:, C_p] when it is the subject.
-    """
+    the class is fixed).  The parent's candidates receive the edge
+    sentence with m on the sender's wire, (V.m)^T.E[:, C_p] when the
+    sender is the sentence's object and (m^T.V).E[:, C_p] when it is the
+    subject, by the verb products."""
+    sr = enc.semiring
     order = [(target, None, None, False)]
     for c, parent, _, _ in order:
-        for other, verb, subject in edges[c]:
+        for other, v, subject in edges[c]:
             if other != parent:
-                order.append((other, c, verb, not subject))
+                order.append((other, c, v, not subject))
     received = {}
-    for c, parent, verb, subject in reversed(order):
+    for c, parent, v, subject in reversed(order):
         b = own[c]
         if c in received:
             b = received[c] if b is None else sr.mul(b, received[c])
         if parent is None:
             return b
         if c in fixed:
-            col = columns[c][:, fixed[c]]
+            col = columns[c][:, fixed[c], None]
             m = col if b is None else sr.mul(b[fixed[c]], col)
         else:
-            m = sr.sum(columns[c] if b is None else sr.mul(columns[c], b),
-                       axis=1)
-        into = _receive(sr, m, verb, subject, columns[parent])
+            m = sr.add.reduce(columns[c] if b is None
+                              else sr.mul(columns[c], b), axis=1, keepdims=True)
+        w = enc.verb_subject(verbs, v, m) if subject \
+            else enc.verb_object(verbs, v, m).T
+        into = enc.product(w, columns[parent])[0]
         received[parent] = into if parent not in received \
             else sr.mul(received[parent], into)
-
-
-def _receive(sr, m: np.ndarray, verb: np.ndarray, from_subject,
-             columns: np.ndarray) -> np.ndarray:
-    """What candidates C receive from the n-vector m across a sentence with
-    verb V: E[:, C]^T.V.m, or (m^T.V).E[:, C] when m is on the subject side.
-
-    Each product is one broadcast and one reduction, not a
-    ``Semiring.matmul``: its dispatch costs 1-2 us a call, and in paired
-    runs the matmul form was slower end to end (BENCH_messages.json,
-    "broadcasts")."""
-    w = sr.sum(sr.mul(m[:, None], verb), axis=0) if from_subject \
-        else sr.sum(sr.mul(verb, m), axis=1)
-    return sr.sum(sr.mul(columns, w[:, None]), axis=0)

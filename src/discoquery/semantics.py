@@ -182,15 +182,15 @@ def parse_sentence(text: str, vocab: Vocabulary, lemmas=None,
 
 def _noun_array(np_: NounPhrase, enc: EncodingMatrix,
                 verbs: VerbMatrix) -> np.ndarray:
+    """The noun vector as an (n, 1) column in the operand form."""
     sr = enc.semiring
     if isinstance(np_, EntityNP):
-        return enc.columns(np_.ordinal)[:, 0]
+        return enc.columns(np_.ordinal)
     if isinstance(np_, RestrictedNP):
         head = _noun_array(np_.head, enc, verbs)
         comp = _noun_array(np_.complement, enc, verbs)
-        square = enc.verb(verbs, np_.verb)
         # contract the verb's object wire with the complement, then intersect
-        return sr.mul(head, sr.matmul(square, comp[:, None])[:, 0])
+        return sr.mul(head, enc.verb_object(verbs, np_.verb, comp))
     raise GrammarError(f"pronoun {np_.surface!r} in a closed noun phrase")
 
 
@@ -198,7 +198,7 @@ def noun_vector(np_: NounPhrase, enc: EncodingMatrix,
                 verbs: VerbMatrix) -> Matrix:
     """State 1 -> n for a pronoun-free noun phrase."""
     vec = enc.decode(_noun_array(np_, enc, verbs))
-    return Matrix(enc.semiring, (), (enc.n,), vec.reshape(-1, 1))
+    return Matrix(enc.semiring, (), (enc.n,), vec)
 
 
 def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
@@ -219,19 +219,16 @@ def contract(s: AtomicSentence, enc: EncodingMatrix, verbs: VerbMatrix,
 def contract_operands(s: AtomicSentence, enc: EncodingMatrix,
                       verbs: VerbMatrix, wire=None) -> np.ndarray:
     """``contract``'s product in the operand form."""
-    sr = enc.semiring
-
     def side(np_):
         if isinstance(np_, PronounNP):
             return enc.columns(range(enc.vocab.n_entities)) if wire is None \
                 else wire(np_)
-        return _noun_array(np_, enc, verbs)[:, None]
+        return _noun_array(np_, enc, verbs)
 
     left, right = side(s.subject), side(s.object)
-    square = enc.verb(verbs, s.verb)
     if left.shape[1] <= right.shape[1]:
-        return sr.matmul(sr.matmul(left.T, square), right)
-    return sr.matmul(left.T, sr.matmul(square, right))
+        return enc.product(enc.verb_subject(verbs, s.verb, left), right)
+    return enc.product(left.T, enc.verb_object(verbs, s.verb, right))
 
 
 @np.errstate(over="ignore", invalid="ignore")

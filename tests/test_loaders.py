@@ -329,7 +329,8 @@ def test_oracles_import_boundary():
     of the query path's contraction code, so an oracle check compares two
     routes: every import, name and attribute in each module's source."""
     query_path = {"contract", "contract_operands", "_noun_array",
-                  "noun_vector", "sentence_effect", "_product"}
+                  "noun_vector", "sentence_effect", "verb_object",
+                  "verb_subject", "verb_diagonal", "product"}
     package = Path(discoquery.__file__).parent
     for path in sorted(package.glob("*.py")):
         names = set()
@@ -348,6 +349,23 @@ def test_oracles_import_boundary():
             assert not names & query_path, sorted(names & query_path)
         elif path.name != "__init__.py":
             assert "oracles" not in names, path.name
+
+
+def test_verb_blocks_read_by_encoding_only():
+    """Queries multiply by a verb only through the encoding's verb
+    products: no module but encoding.py reads an ``operands`` attribute
+    (the operand form of the encoding or of the verbs), and neither
+    ``EncodingMatrix.verb`` nor ``resolution._receive`` is back."""
+    package = Path(discoquery.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "encoding.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and node.attr == "operands"], path.name
+    assert not hasattr(EncodingMatrix, "verb")
+    assert not hasattr(importlib.import_module("discoquery.resolution"),
+                       "_receive")
 
 
 def test_every_parameter_is_read():

@@ -189,9 +189,11 @@ def test_rank_path_against_float_oracles():
 
 
 def test_fuzzy_queries_multiply_integers(tmp_path, monkeypatch, capsys):
-    """Every Semiring.matmul under fuzzy ask, rank, resolve (free, coupled,
-    one class twice in a sentence), --all and resolution_scalar gets
-    integer operands: no float fuzzy product is left on the query path."""
+    """Every product under fuzzy ask, rank, resolve (free, coupled, one
+    class twice in a sentence), --all and resolution_scalar gets integer
+    operands: the encoding's verb products and ``product``, and
+    Semiring.matmul behind them.  No float fuzzy product is left on the
+    query path."""
     rng = np.random.default_rng(5)
     kg, emb = tmp_path / "kg.tsv", tmp_path / "emb.tsv"
     kg.write_text("".join(f"e{s}\tr{v}\te{o}\n" for s, v, o in zip(
@@ -204,13 +206,19 @@ def test_fuzzy_queries_multiply_integers(tmp_path, monkeypatch, capsys):
     cons.write_text("corefer: 0 2\ncandidates: 0 e1 e3 e4\n")
     same.write_text("corefer: 0 1\n")
     operands = []
-    matmul = Semiring.matmul
 
-    def spy(self, a, b):
-        operands.append(a.dtype.kind + b.dtype.kind)
-        return matmul(self, a, b)
+    def spy(cls, name):
+        product = getattr(cls, name)
 
-    monkeypatch.setattr(Semiring, "matmul", spy)
+        def spied(self, *args):
+            operands.append("".join(a.dtype.kind for a in args
+                                    if isinstance(a, np.ndarray)))
+            return product(self, *args)
+        monkeypatch.setattr(cls, name, spied)
+
+    spy(Semiring, "matmul")
+    for name in ("verb_object", "verb_subject", "verb_diagonal", "product"):
+        spy(EncodingMatrix, name)
     common = ["--kg", str(kg), "--embeddings", str(emb), "--semiring", "fuzzy"]
     for argv in (["ask", "e0 r0 e1 that r1 e2 ."],
                  ["rank", "who r0 e1 that r1 e2 ?"],

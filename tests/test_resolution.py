@@ -11,6 +11,7 @@ from discoquery import (BOOLEAN, FUZZY, NONNEG_REAL, EncodingMatrix,
                         resolution_scalar, resolve_argmax,
                         score_all_matchings)
 from discoquery import resolution, semantics
+from discoquery import semiring as semiring_mod
 from discoquery.errors import BudgetExceeded, GrammarError, LoadError
 from discoquery.kb import KnowledgeGraph, Triple, Vocabulary
 from discoquery.resolution import DrsConstraints
@@ -197,26 +198,33 @@ def test_argmax_matches_brute_force_random(sr, monkeypatch):
     monkeypatch.setattr(resolution, "_belief",
                         lambda *a: beliefs.append(a) or belief(*a))
 
+    default_chunk = semiring_mod._CHUNK
+
     def check(d, cons, enc, verbs, tree, case):
-        scored = score_all_matchings(d, cons, enc, verbs)
-        want_mu, want_s = brute_force_argmax(scored)
-        beliefs.clear()
-        got_mu, got_s = resolve_argmax(d, cons, enc, verbs, enc.vocab)
-        if tree is not None and sr is not NONNEG_REAL:
-            assert bool(beliefs) is tree, case
-        assert got_mu == want_mu, case
-        assert type(got_s) is type(want_s), case
-        assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
-        if sr is not NONNEG_REAL:
-            assert float(got_s).hex() == float(want_s).hex(), case
-        assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
-            pytest.approx(float(want_s), rel=1e-9)
-        # Every candidate set spelled out as a tuple takes the gather
-        # path, with the same matching and score as range(|E|).
-        spelled = DrsConstraints(cons.classes, tuple(
-            tuple(c) for c in cons.candidates))
-        assert resolve_argmax(d, spelled, enc, verbs, enc.vocab) == \
-            (got_mu, got_s)
+        # At a _CHUNK of 16, the products of the large trials (n >= 8),
+        # messages included, take Semiring.matmul's blocked fallback; the
+        # default comes last, for the rest of the test.
+        for chunk in (16, default_chunk):
+            monkeypatch.setattr(semiring_mod, "_CHUNK", chunk)
+            scored = score_all_matchings(d, cons, enc, verbs)
+            want_mu, want_s = brute_force_argmax(scored)
+            beliefs.clear()
+            got_mu, got_s = resolve_argmax(d, cons, enc, verbs, enc.vocab)
+            if tree is not None and sr is not NONNEG_REAL:
+                assert bool(beliefs) is tree, case
+            assert got_mu == want_mu, case
+            assert type(got_s) is type(want_s), case
+            assert float(got_s) == pytest.approx(float(want_s), rel=1e-9)
+            if sr is not NONNEG_REAL:
+                assert float(got_s).hex() == float(want_s).hex(), case
+            assert float(resolution_scalar(d, got_mu, enc, verbs)) == \
+                pytest.approx(float(want_s), rel=1e-9)
+            # Every candidate set spelled out as a tuple takes the gather
+            # path, with the same matching and score as range(|E|).
+            spelled = DrsConstraints(cons.classes, tuple(
+                tuple(c) for c in cons.candidates))
+            assert resolve_argmax(d, spelled, enc, verbs, enc.vocab) == \
+                (got_mu, got_s)
 
     for trial in range(16):
         large = trial >= 10
